@@ -18,7 +18,7 @@ from .model import (
     validate,
 )
 from .sampling import Graph, SeedSpec, edge_indicator_stream, read_edgelist, sample_graph, write_edgelist
-from .stats import avg_clustering, local_clustering, triangle_profile, weighted_triangle_sum
+from .stats import avg_clustering, triangle_profile, weighted_triangle_sum
 from .theory import (
     TheoreticalMoments,
     a_coeff,

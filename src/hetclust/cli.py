@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, oracle, sampling, stats, theory
+from .experiments import _fmt
 from .model import (
     ConstantWeights,
     DenseWeights,
@@ -23,10 +24,6 @@ _STAT_BY_FLAG = {
     "clustering": experiments.STAT_CLUSTERING,
     "triangles": experiments.STAT_TRIANGLES,
 }
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_weights(spec: str, n: int):
@@ -105,7 +102,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_theory(args) -> int:
     model = _model_from_args(args)
-    moments = theory.theoretical_moments(model, force_generic=args.no_fast_path)
+    moments = theory.theoretical_moments(model)
     if args.out is not None:
         Path(args.out).write_text(
             theory.moments_to_json(model, moments, include_constants=args.dump_constants)
@@ -201,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--out", type=Path, help="also write JSON here")
     p.add_argument("--dump-constants", action="store_true", help="include constant vectors/matrices in JSON")
-    p.add_argument("--no-fast-path", action="store_true", help="force the generic O(n^3) sums")
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("mc", help="Monte Carlo run of one statistic")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from hashlib import sha1
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -132,8 +132,17 @@ def _model_summary(model: ModelSpec) -> dict:
     }
 
 
+class _Result:
+    """Value equality over the fields: arrays compare element by element."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return _jsonable(self) == _jsonable(other)
+
+
 @dataclass(eq=False)
-class McRunResult:
+class McRunResult(_Result):
     """One Monte Carlo run: raw values, standardized scores, diagnostics."""
 
     model: dict
@@ -149,25 +158,6 @@ class McRunResult:
     empirical_var_ratio: float
     n_zero_statistic: int
     master_seed: int
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, McRunResult):
-            return NotImplemented
-        return (
-            self.model == other.model
-            and self.r_count == other.r_count
-            and self.stat_kind == other.stat_kind
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.z, other.z)
-            and self.centering == other.centering
-            and self.center == other.center
-            and self.center_bias_sds == other.center_bias_sds
-            and self.scale_sq == other.scale_sq
-            and self.ks_distance == other.ks_distance
-            and self.empirical_var_ratio == other.empirical_var_ratio
-            and self.n_zero_statistic == other.n_zero_statistic
-            and self.master_seed == other.master_seed
-        )
 
 
 def run_mc(
@@ -243,8 +233,8 @@ class PhaseRecord:
     closed_sigma_sq: float
 
 
-@dataclass(frozen=True)
-class PhaseSweepResult:
+@dataclass(frozen=True, eq=False)
+class PhaseSweepResult(_Result):
     n: int
     weight_c: float
     records: tuple[PhaseRecord, ...]
@@ -290,7 +280,7 @@ REGIME_SUPER = "super_half"
 
 
 @dataclass(eq=False)
-class DecompositionReport:
+class DecompositionReport(_Result):
     """Correlation between the centered statistic and its leading term."""
 
     model: dict
@@ -418,114 +408,85 @@ def decomposition_check(
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Every result is a dataclass.  JSON is its fields plus a `kind` tag; CSV is
+# a table of the columns listed below.
+
+
+_KINDS = {
+    McRunResult: "mc_run",
+    PhaseSweepResult: "phase_sweep",
+    DecompositionReport: "decomposition",
+}
+
+# CSV header -> field.  A phase sweep has one row per record and reads the
+# fields from each record; the other results have one row per replicate,
+# numbered in a leading `replicate` column.
+_CSV_COLUMNS = {
+    McRunResult: {"value": "values", "z": "z"},
+    PhaseSweepResult: {
+        name: name for name in ("alpha", "sigma1_sq", "sigma2_sq", "ratio", "closed_sigma_sq")
+    },
+    DecompositionReport: {"value": "values", "leading": "leading"},
+}
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _kind(result) -> str:
+    try:
+        return _KINDS[type(result)]
+    except KeyError:
+        raise TypeError(f"cannot serialize {type(result).__name__}") from None
+
+
+def _jsonable(value):
+    """Field values as JSON types: arrays to lists, dataclasses to dicts."""
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
 def default_filename(result, fmt: str) -> str:
     """Conventional name `<stat>_<n>_<alpha>_<seed>.<ext>`."""
     ext = "csv" if fmt == "csv" else "json"
-    if isinstance(result, McRunResult) or isinstance(result, DecompositionReport):
-        m = result.model
-        return f"{result.stat_kind}_{m['n']}_{m['alpha']:g}_{result.master_seed}.{ext}"
-    if isinstance(result, PhaseSweepResult):
+    if _kind(result) == "phase_sweep":
         lo, hi = result.alphas[0], result.alphas[-1]
         return f"phase_{result.n}_{lo:g}-{hi:g}_0.{ext}"
-    raise TypeError(f"no filename convention for {type(result).__name__}")
-
-
-def _mc_to_jsonable(result: McRunResult) -> dict:
-    return {
-        "kind": "mc_run",
-        "model": result.model,
-        "r_count": result.r_count,
-        "stat_kind": result.stat_kind,
-        "values": result.values.tolist(),
-        "z": result.z.tolist(),
-        "centering": result.centering,
-        "center": result.center,
-        "center_bias_sds": result.center_bias_sds,
-        "scale_sq": result.scale_sq,
-        "ks_distance": result.ks_distance,
-        "empirical_var_ratio": result.empirical_var_ratio,
-        "n_zero_statistic": result.n_zero_statistic,
-        "master_seed": result.master_seed,
-    }
+    m = result.model
+    return f"{result.stat_kind}_{m['n']}_{m['alpha']:g}_{result.master_seed}.{ext}"
 
 
 def mc_result_from_json(text: str) -> McRunResult:
     doc = json.loads(text)
-    if doc.get("kind") != "mc_run":
+    if doc.get("kind") != _KINDS[McRunResult]:
         raise ValueError("not a serialized Monte Carlo run")
-    return McRunResult(
-        model=doc["model"],
-        r_count=doc["r_count"],
-        stat_kind=doc["stat_kind"],
-        values=np.asarray(doc["values"]),
-        z=np.asarray(doc["z"]),
-        centering=doc["centering"],
-        center=doc["center"],
-        center_bias_sds=doc["center_bias_sds"],
-        scale_sq=doc["scale_sq"],
-        ks_distance=doc["ks_distance"],
-        empirical_var_ratio=doc["empirical_var_ratio"],
-        n_zero_statistic=doc["n_zero_statistic"],
-        master_seed=doc["master_seed"],
-    )
+    raw = {f.name: doc[f.name] for f in fields(McRunResult)}
+    return McRunResult(**{k: np.asarray(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def _result_to_text(result, fmt: str) -> str:
+    kind = _kind(result)
     if fmt == "json":
-        if isinstance(result, McRunResult):
-            doc = _mc_to_jsonable(result)
-        elif isinstance(result, PhaseSweepResult):
-            doc = {
-                "kind": "phase_sweep",
-                "n": result.n,
-                "weight_c": result.weight_c,
-                "records": [vars(r) for r in result.records],
-            }
-        elif isinstance(result, DecompositionReport):
-            doc = {
-                "kind": "decomposition",
-                "model": result.model,
-                "stat_kind": result.stat_kind,
-                "regime": result.regime,
-                "r_count": result.r_count,
-                "master_seed": result.master_seed,
-                "degenerate_linear": result.degenerate_linear,
-                "correlation": result.correlation,
-                "residual_var_fraction": result.residual_var_fraction,
-                "values": result.values.tolist(),
-                "leading": result.leading.tolist(),
-            }
-        else:
-            raise TypeError(f"cannot serialize {type(result).__name__}")
+        doc = {"kind": kind, **_jsonable(result)}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
     if fmt == "csv":
-        lines: list[str] = []
-        if isinstance(result, McRunResult):
-            lines.append("replicate,value,z")
-            for r, (v, zz) in enumerate(zip(result.values, result.z)):
-                lines.append(f"{r},{_fmt(v)},{_fmt(zz)}")
-        elif isinstance(result, PhaseSweepResult):
-            lines.append("alpha,sigma1_sq,sigma2_sq,ratio,closed_sigma_sq")
-            for rec in result.records:
-                lines.append(
-                    f"{_fmt(rec.alpha)},{_fmt(rec.sigma1_sq)},{_fmt(rec.sigma2_sq)},"
-                    f"{_fmt(rec.ratio)},{_fmt(rec.closed_sigma_sq)}"
-                )
-        elif isinstance(result, DecompositionReport):
-            lines.append("replicate,value,leading")
-            for r, (v, ld) in enumerate(zip(result.values, result.leading)):
-                lines.append(f"{r},{_fmt(v)},{_fmt(ld)}")
+        columns = _CSV_COLUMNS[type(result)]
+        if kind == "phase_sweep":
+            header = list(columns)
+            rows = [[getattr(rec, f) for f in columns.values()] for rec in result.records]
         else:
-            raise TypeError(f"cannot serialize {type(result).__name__}")
+            header = ["replicate", *columns]
+            arrays = [getattr(result, f) for f in columns.values()]
+            rows = [[r, *row] for r, row in enumerate(zip(*arrays))]
+        lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
         return "\n".join(lines) + "\n"
-
     raise ValueError(f"unknown format: {fmt!r}")
 
 

@@ -265,13 +265,17 @@ def model_from_json(source: str | Path | dict) -> ModelSpec:
             cfg = json.load(fh)
     else:
         cfg = source
-    n = int(cfg["n"])
-    return ModelSpec(
-        n=n,
-        alpha=float(cfg["alpha"]),
-        beta=float(cfg["beta"]),
-        weights=_weights_from_dict(cfg["weights"], n, base),
-    )
+    try:
+        n = int(cfg["n"])
+        return ModelSpec(
+            n=n,
+            alpha=float(cfg["alpha"]),
+            beta=float(cfg["beta"]),
+            weights=_weights_from_dict(cfg["weights"], n, base),
+        )
+    except KeyError as exc:
+        where = f"{source}: " if base is not None else ""
+        raise ValueError(f"{where}model config lacks key {exc.args[0]!r}") from None
 
 
 def model_to_json(model: ModelSpec) -> dict:

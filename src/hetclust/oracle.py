@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ModelSpec
-from .pairs import n_pairs, pair_index
+from .pairs import n_pairs, pair_arrays, pair_index
 from .sampling import Graph
 
 __all__ = [
@@ -112,13 +112,19 @@ def enumeration_tables(n: int):
 
 
 def graph_from_code(n: int, code: int) -> Graph:
-    """Materialize the graph with the given pair-bit code."""
-    rows, cols = [], []
-    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        if (code >> k) & 1:
-            rows.append(i)
-            cols.append(j)
-    return Graph.from_edges(n, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+    """Materialize the graph with the given pair-bit code.
+
+    The graphs are tiny, so the adjacency lists are read off a dense
+    matrix in row-major order, which leaves every list sorted.
+    """
+    iu, ju = pair_arrays(n)
+    present = ((code >> np.arange(len(iu))) & 1).astype(bool)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[iu[present], ju[present]] = True
+    adj |= adj.T
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(adj.sum(axis=1), out=indptr[1:])
+    return Graph(n=n, indptr=indptr, indices=np.nonzero(adj)[1].astype(np.int32))
 
 
 def _graph_probabilities(bits: np.ndarray, mu_vec: np.ndarray) -> np.ndarray:

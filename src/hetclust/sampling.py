@@ -18,19 +18,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import ModelSpec
-from .pairs import n_pairs, pair_arrays, pair_index
+from .pairs import n_pairs, pair_arrays
 
 __all__ = [
     "SeedSpec",
     "Graph",
-    "PairDeviates",
     "edge_indicator_stream",
     "sample_graph",
     "write_edgelist",
     "read_edgelist",
 ]
-
-_BITSET_MAX_N = 4096
 
 
 @dataclass(frozen=True)
@@ -41,44 +38,31 @@ class SeedSpec:
     replicate_index: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.master_seed < 2**63:
+            raise ValueError(f"master_seed must lie in [0, 2**63), got {self.master_seed}")
         if self.replicate_index < 0:
             raise ValueError("replicate_index must be >= 0")
 
 
-@dataclass(frozen=True)
-class PairDeviates:
-    """Uniform deviates for every node pair, indexed in canonical order."""
-
-    n: int
-    values: np.ndarray
-
-    def for_pair(self, i: int, j: int) -> float:
-        return float(self.values[pair_index(i, j, self.n)])
-
-
-def edge_indicator_stream(model: ModelSpec, seed: SeedSpec) -> PairDeviates:
+def edge_indicator_stream(model: ModelSpec, seed: SeedSpec) -> np.ndarray:
     """Per-pair uniforms underlying `sample_graph` for the same seed.
 
-    The pair {i, j} of the sampled graph is present iff its deviate is
-    strictly below mu_ij, so centered indicators can be recomputed without
-    storing the graph.
+    Entry k belongs to the k-th pair in canonical order.  The pair {i, j}
+    of the sampled graph is present iff its deviate is strictly below
+    mu_ij, so centered indicators can be recomputed without storing the
+    graph.
     """
-    return PairDeviates(model.n, pair_uniforms(model.n, seed))
-
-
-def pair_uniforms(n: int, seed: SeedSpec) -> np.ndarray:
     gen = np.random.Generator(
         np.random.Philox(key=[seed.master_seed, seed.replicate_index])
     )
-    return gen.random(n_pairs(n))
+    return gen.random(n_pairs(model.n))
 
 
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph with sorted adjacency lists.
 
-    Stored in compressed sparse row form (`indptr`, `indices`); a packed
-    per-node bitset accelerates membership queries for n <= 4096.
+    Stored in compressed sparse row form (`indptr`, `indices`).
     """
 
     n: int
@@ -94,30 +78,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.indices) // 2
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    @cached_property
-    def _bitset(self) -> np.ndarray | None:
-        if self.n > _BITSET_MAX_N:
-            return None
-        dense = np.zeros((self.n, self.n), dtype=bool)
-        for i in range(self.n):
-            dense[i, self.neighbors(i)] = True
-        return np.packbits(dense, axis=1)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"node index out of range for n={self.n}")
-        if i == j:
-            return False
-        bs = self._bitset
-        if bs is not None:
-            return bool((bs[i, j >> 3] >> (7 - (j & 7))) & 1)
-        nb = self.neighbors(i)
-        k = np.searchsorted(nb, j)
-        return k < len(nb) and nb[k] == j
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints (i, j) with i < j, in canonical order."""
@@ -150,9 +110,8 @@ class Graph:
 
 def sample_graph(model: ModelSpec, seed: SeedSpec) -> Graph:
     """Draw one graph: pair {i, j} included independently w.p. mu_ij."""
-    u = pair_uniforms(model.n, seed)
-    mask = u < model.mu_pairs()
     iu, ju = pair_arrays(model.n)
+    mask = edge_indicator_stream(model, seed) < model.mu_matrix[iu, ju]
     return Graph.from_edges(model.n, iu[mask], ju[mask])
 
 
@@ -171,13 +130,16 @@ def read_edgelist(path: str | Path) -> Graph:
         if len(header) != 2 or header[0] != "n":
             raise ValueError(f"{path}: malformed edge-list header")
         n = int(header[1])
-        rows, cols = [], []
+        rows, cols, seen = [], [], set()
         for line in fh:
             if not line.strip():
                 continue
             i, j = map(int, line.split())
             if not (0 <= i < j < n):
                 raise ValueError(f"{path}: invalid edge ({i}, {j}) for n={n}")
+            if (i, j) in seen:
+                raise ValueError(f"{path}: duplicate edge ({i}, {j})")
+            seen.add((i, j))
             rows.append(i)
             cols.append(j)
     return Graph.from_edges(n, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))

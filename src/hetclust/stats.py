@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .sampling import Graph
 
@@ -31,7 +32,6 @@ __all__ = [
     "NodeTriangleProfile",
     "triangle_profile",
     "avg_clustering",
-    "local_clustering",
     "weighted_triangle_sum",
 ]
 
@@ -52,23 +52,13 @@ def triangle_profile(graph: Graph) -> NodeTriangleProfile:
     return NodeTriangleProfile(t=t, d=graph.degrees)
 
 
-def _local_values(profile: NodeTriangleProfile) -> np.ndarray:
+def avg_clustering(graph: Graph) -> float:
+    """Mean local clustering over all nodes, in [0, 1]."""
+    profile = triangle_profile(graph)
     d = profile.d
     denom = d * (d - 1)
     safe = np.where(denom > 0, denom, 1)
-    return np.where(denom > 0, profile.t / safe, 0.0)
-
-
-def avg_clustering(graph: Graph) -> float:
-    """Mean local clustering over all nodes, in [0, 1]."""
-    return float(_local_values(triangle_profile(graph)).mean())
-
-
-def local_clustering(graph: Graph, i: int) -> float:
-    """t_i / (d_i (d_i - 1)), or 0 when node i has degree < 2."""
-    if not (0 <= i < graph.n):
-        raise IndexError(f"node index out of range for n={graph.n}")
-    return float(_local_values(triangle_profile(graph))[i])
+    return float(np.where(denom > 0, profile.t / safe, 0.0).mean())
 
 
 def weighted_triangle_sum(graph: Graph) -> float:
@@ -81,10 +71,12 @@ def weighted_triangle_sum(graph: Graph) -> float:
     """
     a = graph.adjacency_csr(dtype=np.float64)
     d = graph.degrees.astype(np.float64)
-    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    # column k of a scaled by 1/d_k; every listed k has d_k >= 1
+    a_scaled = sp.csr_matrix((1.0 / d[graph.indices], graph.indices, graph.indptr), shape=a.shape)
     # q_ij = sum_k 1/d_k over common neighbours k of the edge (i, j)
-    q = (a.multiply(inv_d[np.newaxis, :]) @ a).multiply(a).tocoo()
-    rows, cols, vals = q.row, q.col, q.data
+    q = (a_scaled @ a).multiply(a).tocsr()
+    rows = np.repeat(np.arange(graph.n), np.diff(q.indptr))
+    cols, vals = q.indices, q.data
     upper = rows < cols
     contrib = vals[upper] / (d[rows[upper]] * d[cols[upper]])
     # every triangle is counted once per edge

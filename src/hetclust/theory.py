@@ -164,17 +164,16 @@ class ClusteringConstants:
     e: np.ndarray
     et: np.ndarray
 
-    def a3(self, i: int, j: int, k: int) -> float:
-        return float(self.a[i] + self.a[j] + self.a[k])
-
 
 def clustering_constants(model: ModelSpec) -> ClusteringConstants:
     """All clustering variance constants, as full vectors and matrices."""
     _require_supercritical(model)
+    return _constants_from(model, _a_all(model), expected_ti_all(model))
+
+
+def _constants_from(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> ClusteringConstants:
     m = model.mu_matrix
     mu = model.mu
-    a = _a_all(model)
-    et = expected_ti_all(model)
     b = _b_from(et, mu)
     c = m @ (a[:, None] * m)
     dsum = m @ m
@@ -199,34 +198,37 @@ def _homog_scalars(model: ModelSpec) -> dict:
     return dict(mu_pair=mu_pair, mu=mu, a=a, et=et, b=b, c=c, dsum=dsum, e=e)
 
 
-def sigma_components(
-    model: ModelSpec, force_generic: bool = False
-) -> tuple[float, float]:
+def sigma_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (sigma1_sq, sigma2_sq) for the average clustering coefficient.
 
     Constant-weight models use the symmetric fast path (one representative
-    triple and pair term scaled by counts) unless `force_generic`.
+    triple and pair term scaled by counts); the same model built with
+    `DenseWeights` takes the generic sums.
     """
+    _require_supercritical(model)
     n = model.n
-    if model.is_homogeneous and not force_generic:
-        _require_supercritical(model)
+    if model.is_homogeneous:
         s = _homog_scalars(model)
         f = s["mu_pair"] * (1.0 - s["mu_pair"])
         sigma1 = (4.0 / n**2) * comb(n, 3) * (3.0 * s["a"]) ** 2 * f**3
         sigma2 = (1.0 / n**2) * comb(n, 2) * s["e"] ** 2 * f
         return sigma1, sigma2
-    consts = clustering_constants(model)
+    return _sigma_generic(model, _a_all(model), expected_ti_all(model))
+
+
+def _sigma_generic(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> tuple[float, float]:
+    n = model.n
+    e = _constants_from(model, a, et).e
     m = model.mu_matrix
     f = m * (1.0 - m)
     np.fill_diagonal(f, 0.0)
-    a = consts.a
     f2 = f @ f
     diag_f3 = (f2 * f).sum(axis=1)
     triple = 0.5 * float(a**2 @ diag_f3) + float(
         ((a[:, None] * f) * f2 * a[None, :]).sum()
     )
     sigma1 = (4.0 / n**2) * triple
-    sigma2 = (0.5 / n**2) * float((consts.e**2 * f).sum())
+    sigma2 = (0.5 / n**2) * float((e**2 * f).sum())
     return sigma1, sigma2
 
 
@@ -254,14 +256,14 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
     return TriangleConstants(eta=eta, gamma=gamma)
 
 
-def v_components(model: ModelSpec, force_generic: bool = False) -> tuple[float, float]:
+def v_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (v1_sq, v2_sq) for the weighted triangle sum.
 
     Under constant weights gamma_ij == eta_i identically, so v2_sq is 0
     exactly and the fast path returns it as such.
     """
     n = model.n
-    if model.is_homogeneous and not force_generic:
+    if model.is_homogeneous:
         mu_pair = model.p * model.weights.c  # type: ignore[union-attr]
         mu = (n - 1) * mu_pair
         f = mu_pair * (1.0 - mu_pair)
@@ -294,11 +296,13 @@ def mean_cc_approx(model: ModelSpec) -> float:
     at small n the second term is not a small correction.
     """
     _require_supercritical(model)
+    return _mean_cc(model, _a_all(model), expected_ti_all(model))
+
+
+def _mean_cc(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> float:
     n = model.n
     m = model.mu_matrix
     mu = model.mu
-    a = _a_all(model)
-    et = expected_ti_all(model)
     term1 = float(et @ a) / n
     g = (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
     f = m * (1.0 - m)
@@ -375,11 +379,12 @@ class TheoreticalMoments:
     mean_t_leading: float
 
 
-def theoretical_moments(
-    model: ModelSpec, force_generic: bool = False
-) -> TheoreticalMoments:
-    s1, s2 = sigma_components(model, force_generic=force_generic)
-    v1, v2 = v_components(model, force_generic=force_generic)
+def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
+    _require_supercritical(model)
+    # the degree law dominates both sigma and the mean: evaluate it once
+    a, et = _a_all(model), expected_ti_all(model)
+    s1, s2 = sigma_components(model) if model.is_homogeneous else _sigma_generic(model, a, et)
+    v1, v2 = v_components(model)
     return TheoreticalMoments(
         sigma1_sq=s1,
         sigma2_sq=s2,
@@ -387,7 +392,7 @@ def theoretical_moments(
         v1_sq=v1,
         v2_sq=v2,
         v_sq=v1 + v2,
-        mean_cc_approx=mean_cc_approx(model),
+        mean_cc_approx=_mean_cc(model, a, et),
         mean_t_leading=mean_t_leading(model),
     )
 

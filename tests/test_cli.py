@@ -277,3 +277,19 @@ def test_rank1_weights_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert "sigma1_sq" in stdout
+
+
+def test_model_file_missing_key_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 50, "alpha": 0.4, "weights": {"kind": "constant", "c": 1.0}}))
+    code, _, err = run_cli(capsys, ["theory", "--model", str(path)])
+    assert code != 0
+    assert err == f"error: {path}: model config lacks key 'beta'\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", "340282366920938463463374607431768211457"])
+def test_out_of_range_seed_is_one_line_error(tmp_path, capsys, seed):
+    argv = ["sample", "--n", "20", "--alpha", "0.5", "--weights", "constant:1.0"]
+    code, _, err = run_cli(capsys, argv + ["--seed", seed, "--out", str(tmp_path / "g.txt")])
+    assert code != 0
+    assert err == f"error: master_seed must lie in [0, 2**63), got {seed}\n"

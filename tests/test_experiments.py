@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -163,6 +164,38 @@ def test_default_filename_convention():
     assert default_filename(res, "csv") == f"clustering_25_{m.alpha:g}_11.csv"
     sweep = phase_sweep(50, [0.2, 0.8])
     assert default_filename(sweep, "json") == "phase_50_0.2-0.8_0.json"
+
+
+# kind -> (CSV header line documented in the README, result factory)
+_SCHEMAS = {
+    "mc_run": (
+        "replicate,value,z",
+        lambda: run_mc(er_model(25, alpha=0.4), STAT_TRIANGLES, 4, master_seed=3, workers=1),
+    ),
+    "phase_sweep": (
+        "alpha,sigma1_sq,sigma2_sq,ratio,closed_sigma_sq",
+        lambda: phase_sweep(50, [0.3, 0.7]),
+    ),
+    "decomposition": (
+        "replicate,value,leading",
+        lambda: decomposition_check(
+            er_model(30, alpha=0.7), STAT_CLUSTERING, 4, master_seed=3, workers=1
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCHEMAS))
+def test_output_schema(tmp_path, kind):
+    header, make = _SCHEMAS[kind]
+    res = make()
+    emit_results(res, tmp_path / "r.json", "json")
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["kind"] == kind
+    assert set(doc) == {"kind"} | {f.name for f in dataclasses.fields(res)}
+    emit_results(res, tmp_path / "r.csv", "csv")
+    assert (tmp_path / "r.csv").read_text().splitlines()[0] == header
+    assert make() == res  # value equality, arrays included
 
 
 def test_emit_unknown_format_rejected(tmp_path):

@@ -148,6 +148,16 @@ def test_model_json_grid_and_csv(tmp_path):
     assert np.allclose(m.weights.w, np.linspace(0.5, 1.0, 6))
 
 
+@pytest.mark.parametrize("key", ["n", "alpha", "beta", "weights", "c"])
+def test_model_json_missing_key_is_value_error(tmp_path, key):
+    cfg = {"n": 6, "alpha": 0.4, "beta": 0.5, "weights": {"kind": "constant", "c": 1.0}}
+    del (cfg["weights"] if key == "c" else cfg)[key]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=f"m.json: model config lacks key '{key}'"):
+        model_from_json(path)
+
+
 def test_load_dense_csv_shape(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("0,0.5\n0.5,0\n")

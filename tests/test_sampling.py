@@ -52,13 +52,12 @@ def test_deviates_match_graph():
     seed = SeedSpec(99, 3)
     dev = edge_indicator_stream(m, seed)
     g = sample_graph(m, seed)
-    assert dev.for_pair(3, 7) == dev.for_pair(7, 3)
     iu, ju = pair_arrays(m.n)
     mu = m.mu_pairs()
     edges = edge_set(g)
     for k in range(n_pairs(m.n)):
         present = (int(iu[k]), int(ju[k])) in edges
-        assert present == (dev.values[k] < mu[k])
+        assert present == (dev[k] < mu[k])
 
 
 def test_edge_count_mean_matches_binomial():
@@ -80,7 +79,7 @@ def test_pooled_deviates_uniform():
     per = n_pairs(n)
     reps = math.ceil(100_000 / per)
     pooled = np.concatenate(
-        [edge_indicator_stream(m, SeedSpec(5150, r)).values for r in range(reps)]
+        [edge_indicator_stream(m, SeedSpec(5150, r)) for r in range(reps)]
     )[:100_000]
     x = np.sort(pooled)
     k = np.arange(1, len(x) + 1)
@@ -112,7 +111,7 @@ def test_marginal_edge_frequency():
     idx = pair_index(1, 4, n)
     for r in range(reps):
         dev = edge_indicator_stream(m, SeedSpec(8080, r))
-        hits += dev.values[idx] < mu
+        hits += dev[idx] < mu
     freq = hits / reps
     assert abs(freq - mu) < 4 * math.sqrt(mu * (1 - mu) / reps)
 
@@ -121,12 +120,7 @@ def test_graph_accessors():
     g = Graph.from_edges(5, np.array([0, 0, 1]), np.array([1, 2, 2]))
     assert g.n_edges == 3
     assert g.degrees.tolist() == [2, 2, 2, 0, 0]
-    assert list(g.neighbors(0)) == [1, 2]
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 3)
-    assert not g.has_edge(2, 2)
-    with pytest.raises(IndexError):
-        g.has_edge(0, 9)
+    assert g.indices[g.indptr[0] : g.indptr[1]].tolist() == [1, 2]
 
 
 def test_edgelist_round_trip(tmp_path):
@@ -150,16 +144,6 @@ def test_empty_graph_is_valid():
     g = Graph.from_edges(5, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     assert g.n_edges == 0
     assert g.degrees.tolist() == [0] * 5
-    assert not g.has_edge(0, 1)
-
-
-def test_membership_beyond_bitset_limit():
-    # n > 4096 falls back to binary search over sorted neighbour lists
-    g = Graph.from_edges(5000, np.array([0, 10]), np.array([4999, 20]))
-    assert g._bitset is None
-    assert g.has_edge(0, 4999) and g.has_edge(4999, 0)
-    assert g.has_edge(10, 20)
-    assert not g.has_edge(0, 20)
 
 
 def test_read_edgelist_rejects_malformed(tmp_path):
@@ -170,3 +154,18 @@ def test_read_edgelist_rejects_malformed(tmp_path):
     bad.write_text("n 4\n3 1\n")
     with pytest.raises(ValueError, match="invalid edge"):
         read_edgelist(bad)
+    bad.write_text("n 4\n0 1\n1 2\n0 1\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: duplicate edge \(0, 1\)"):
+        read_edgelist(bad)
+
+
+@pytest.mark.parametrize("master_seed", [-1, 2**63, 340282366920938463463374607431768211457])
+def test_seed_outside_philox_key_range_rejected(master_seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        SeedSpec(master_seed)
+
+
+def test_seed_range_bounds_accepted():
+    m = er_model(10, alpha=0.5)
+    for master_seed in (0, 2**63 - 1):
+        assert len(edge_indicator_stream(m, SeedSpec(master_seed))) == n_pairs(10)

@@ -11,7 +11,6 @@ from hetclust.pairs import n_pairs
 from hetclust.sampling import Graph, SeedSpec, sample_graph
 from hetclust.stats import (
     avg_clustering,
-    local_clustering,
     triangle_profile,
     weighted_triangle_sum,
 )
@@ -59,17 +58,11 @@ def test_weighted_triangle_sum_triangle_free():
     assert weighted_triangle_sum(g) == 0.0
 
 
-def test_local_clustering_star_center():
-    g = Graph.from_edges(4, np.array([0, 0, 0]), np.array([1, 2, 3]))
-    assert local_clustering(g, 0) == 0.0  # degree 3, no triangle
-    assert local_clustering(g, 1) == 0.0  # degree 1, zero convention
-
-
-def test_local_clustering_bounds_and_errors():
-    g = complete_graph(5)
-    assert local_clustering(g, 2) == 1.0
-    with pytest.raises(IndexError):
-        local_clustering(g, 5)
+def test_avg_clustering_zero_convention_for_low_degree():
+    # triangle {0, 1, 2} plus pendant node 3 on node 0: local values
+    # 1/3, 1, 1 and 0 for the degree-1 node, which still counts in the mean
+    g = Graph.from_edges(4, np.array([0, 0, 1, 0]), np.array([1, 2, 2, 3]))
+    assert avg_clustering(g) == pytest.approx(7 / 12, rel=1e-15)
 
 
 def test_all_graphs_n4_match_direct_definition():
@@ -142,4 +135,3 @@ def test_statistics_on_empty_graph():
     g = Graph.from_edges(4, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     assert avg_clustering(g) == 0.0
     assert weighted_triangle_sum(g) == 0.0
-    assert local_clustering(g, 0) == 0.0
