@@ -230,13 +230,24 @@ def load_dense_csv(path: str | Path) -> np.ndarray:
     return w
 
 
-def _weights_from_dict(spec: dict, n: int, base: Path | None) -> WeightSpec:
+def _weights_from_dict(spec: dict, n: int, base: Path | None, where: str) -> WeightSpec:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where}model config key 'weights' must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "constant":
         return ConstantWeights(float(spec["c"]))
     if kind == "rank1":
         if "grid" in spec:
-            lo, hi = spec["grid"]
+            grid = spec["grid"]
+            if not (
+                isinstance(grid, list)
+                and len(grid) == 2
+                and all(isinstance(x, (int, float)) for x in grid)
+            ):
+                raise ValueError(
+                    f"{where}model config key 'grid' must be a two-number list, got {grid!r}"
+                )
+            lo, hi = grid
             return RankOneWeights(np.linspace(float(lo), float(hi), n))
         return RankOneWeights(np.asarray(spec["w"], dtype=np.float64))
     if kind == "dense":
@@ -246,7 +257,7 @@ def _weights_from_dict(spec: dict, n: int, base: Path | None) -> WeightSpec:
                 p = base / p
             return DenseWeights(load_dense_csv(p))
         return DenseWeights(np.asarray(spec["W"], dtype=np.float64))
-    raise ValueError(f"unknown weight kind: {kind!r}")
+    raise ValueError(f"{where}unknown weight kind: {kind!r}")
 
 
 def model_from_json(source: str | Path | dict) -> ModelSpec:
@@ -259,8 +270,10 @@ def model_from_json(source: str | Path | dict) -> ModelSpec:
     (list of rows) or "csv" (path to an n-row CSV file).
     """
     base = None
+    where = ""
     if isinstance(source, (str, Path)):
         base = Path(source).parent
+        where = f"{source}: "
         with open(source) as fh:
             cfg = json.load(fh)
     else:
@@ -271,10 +284,9 @@ def model_from_json(source: str | Path | dict) -> ModelSpec:
             n=n,
             alpha=float(cfg["alpha"]),
             beta=float(cfg["beta"]),
-            weights=_weights_from_dict(cfg["weights"], n, base),
+            weights=_weights_from_dict(cfg["weights"], n, base, where),
         )
     except KeyError as exc:
-        where = f"{source}: " if base is not None else ""
         raise ValueError(f"{where}model config lacks key {exc.args[0]!r}") from None
 
 

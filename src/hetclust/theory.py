@@ -29,10 +29,21 @@ The weighted triangle sum has the analogous decomposition with
     gamma_ij = sum_{k not in {i,j}} mu_jk mu_ki / (mu_i mu_j mu_k).
 
 a_i is an expectation over the exact distribution of d_i, a sum of
-independent non-identical Bernoulli variables, computed by sequential
-convolution.  E[1/(d(d-1))] is ill-defined on {d <= 1}; truncating to
-{d >= 2} matches the zero-denominator convention of the statistic itself
-and the exponentially small low-degree tail.
+independent non-identical Bernoulli variables.  The laws of all nodes come
+from one convolution over the columns of mu, on the truncated support
+{0, ..., K} with K = min(n-1, ceil(mu_max + 12 sqrt(mu_max) + 30)).  Mass
+only moves upward, so the kept entries equal those of the full-support
+convolution bit for bit.  The dropped tail obeys the multiplicative
+Chernoff bound
+
+    P(d_i > K) <= e^(-mu_i) (e mu_i / K)^K <= e^(-mu_max) (e mu_max / K)^K,
+
+which increases in mu below K.  The code evaluates it and keeps K only
+where it is <= 1e-30 (it stays below 6e-32 for every mu_max); elsewhere
+K = n-1 and nothing is dropped.  The truncation thus changes a_i by at
+most 1e-30 / (K (K+1)).  E[1/(d(d-1))] is ill-defined on {d <= 1};
+truncating to {d >= 2} matches the zero-denominator convention of the
+statistic itself and the exponentially small low-degree tail.
 
 All triple sums are evaluated exactly in O(n^3) through matrix products
 (zero diagonals make the coincidence terms vanish identically); constant
@@ -87,25 +98,51 @@ __all__ = [
 # degree law and per-node constants
 
 
-def _pmf_from_probs(probs: np.ndarray) -> np.ndarray:
-    """PMF of a sum of independent Bernoulli(p_k) by sequential convolution."""
-    pmf = np.zeros(len(probs) + 1)
+# largest dropped degree tail P(d_i > K) the truncated support may carry
+_TAIL_BUDGET = 1e-30
+
+
+def _tail_bound(mu: float, k: int) -> float:
+    """Chernoff bound e^(-mu) (e mu / k)^k on P(d >= k), for 0 <= mu < k."""
+    if mu == 0.0:
+        return 0.0
+    return math.exp(-mu + k * (1.0 + math.log(mu / k)))
+
+
+def _support_width(mu_max: float, n: int) -> int:
+    """Support width K of the degree laws of nodes with mu_i <= mu_max."""
+    k = math.ceil(mu_max + 12.0 * math.sqrt(mu_max) + 30.0)
+    if k >= n - 1 or _tail_bound(mu_max, k) > _TAIL_BUDGET:
+        return n - 1
+    return k
+
+
+def _degree_pmfs(rows: np.ndarray, k: int) -> np.ndarray:
+    """PMFs on {0, ..., k} of the degrees of a block of rows of mu_matrix.
+
+    One step per column j, in increasing j, convolves every row with
+    Bernoulli(mu_rj) at once.  The zero diagonal makes a row's self-term a
+    no-op (multiply by 1.0, add 0.0).
+    """
+    pmf = np.zeros((k + 1, rows.shape[0]))  # one column per row
     pmf[0] = 1.0
-    size = 1
-    for p in probs:
-        prev = pmf[:size].copy()
-        pmf[:size] *= 1.0 - p
-        pmf[1 : size + 1] += prev * p
-        size += 1
-    return pmf
+    shifted = np.empty((k, rows.shape[0]))
+    for q in rows.T:
+        np.multiply(pmf[:-1], q, out=shifted)
+        pmf *= 1.0 - q
+        pmf[1:] += shifted
+    return pmf.T
+
+
+def _check_node(model: ModelSpec, i: int) -> None:
+    if not (0 <= i < model.n):
+        raise IndexError(f"node index out of range for n={model.n}")
 
 
 def degree_distribution(model: ModelSpec, i: int) -> np.ndarray:
     """Exact PMF of d_i on {0, ..., n-1}."""
-    if not (0 <= i < model.n):
-        raise IndexError(f"node index out of range for n={model.n}")
-    probs = np.delete(model.mu_matrix[i], i)
-    return _pmf_from_probs(probs)
+    _check_node(model, i)
+    return _degree_pmfs(model.mu_matrix[i : i + 1], model.n - 1)[0]
 
 
 def a_coeff_from_pmf(pmf: np.ndarray) -> float:
@@ -117,19 +154,22 @@ def a_coeff_from_pmf(pmf: np.ndarray) -> float:
 
 def a_coeff(model: ModelSpec, i: int) -> float:
     """Mean inverse ordered-pair count of d_i, truncated to d_i >= 2."""
-    return a_coeff_from_pmf(degree_distribution(model, i))
+    _check_node(model, i)
+    k = _support_width(float(model.mu[i]), model.n)
+    return a_coeff_from_pmf(_degree_pmfs(model.mu_matrix[i : i + 1], k)[0])
 
 
 def _a_all(model: ModelSpec) -> np.ndarray:
     if model.is_homogeneous:
         return np.full(model.n, a_coeff(model, 0))
-    return np.array([a_coeff(model, i) for i in range(model.n)])
+    k = _support_width(float(model.mu.max()), model.n)
+    # one exactly rounded sum per node, as a_coeff gives; no convolution here
+    return np.array([a_coeff_from_pmf(pmf) for pmf in _degree_pmfs(model.mu_matrix, k)])
 
 
 def expected_ti(model: ModelSpec, i: int) -> float:
     """E[t_i] = sum over ordered pairs (j, k) of mu_ij mu_jk mu_ki."""
-    if not (0 <= i < model.n):
-        raise IndexError(f"node index out of range for n={model.n}")
+    _check_node(model, i)
     m = model.mu_matrix
     row = m[i]
     return float(row @ m @ row)

@@ -287,6 +287,19 @@ def test_model_file_missing_key_is_one_line_error(tmp_path, capsys):
     assert err == f"error: {path}: model config lacks key 'beta'\n"
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [(5, "key 'weights' must be an object, got 5"),
+     ({"kind": "rank1", "grid": 5}, "key 'grid' must be a two-number list, got 5")],
+)
+def test_model_file_malformed_weights_is_one_line_error(tmp_path, capsys, weights, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 50, "alpha": 0.4, "beta": 0.5, "weights": weights}))
+    code, _, err = run_cli(capsys, ["theory", "--model", str(path)])
+    assert code != 0
+    assert err == f"error: {path}: model config {message}\n"
+
+
 @pytest.mark.parametrize("seed", ["-1", "340282366920938463463374607431768211457"])
 def test_out_of_range_seed_is_one_line_error(tmp_path, capsys, seed):
     argv = ["sample", "--n", "20", "--alpha", "0.5", "--weights", "constant:1.0"]

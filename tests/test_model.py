@@ -158,6 +158,18 @@ def test_model_json_missing_key_is_value_error(tmp_path, key):
         model_from_json(path)
 
 
+@pytest.mark.parametrize(
+    "weights, key",
+    [(5, "weights"), ([1], "weights"), ({"kind": "rank1", "grid": 5}, "grid"),
+     ({"kind": "rank1", "grid": [0.5, 0.7, 1.0]}, "grid")],
+)
+def test_model_json_malformed_weights_is_value_error(tmp_path, weights, key):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 6, "alpha": 0.4, "beta": 0.5, "weights": weights}))
+    with pytest.raises(ValueError, match=f"m.json: model config key '{key}' must be"):
+        model_from_json(path)
+
+
 def test_load_dense_csv_shape(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("0,0.5\n0.5,0\n")

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, poisson_binom
 
 from hetclust.model import ConstantWeights, DenseWeights, ModelSpec, RankOneWeights
 from hetclust.sampling import SeedSpec, sample_graph
 from hetclust.stats import avg_clustering
 from hetclust.theory import (
+    _TAIL_BUDGET,
+    _support_width,
+    _tail_bound,
     a_coeff,
     a_coeff_from_pmf,
     clustering_constants,
@@ -96,6 +99,45 @@ def test_a_coeff_taylor_band():
 
 
 # ---------------------------------------------------------------------------
+# truncated support of the degree law
+
+# both keep a support width K well below n - 1
+TRUNCATING_MODELS = [
+    ModelSpec(n=400, alpha=0.7, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1.0, 400))),
+    random_dense_model(300, np.random.default_rng(5), alpha=0.5),
+]
+
+
+@pytest.mark.parametrize("m", TRUNCATING_MODELS, ids=["rank1_n400", "dense_n300"])
+def test_truncated_degree_law_matches_full_support(m):
+    assert _support_width(float(m.mu.max()), m.n) < m.n // 2
+    a = clustering_constants(m).a
+    full = np.array([a_coeff_from_pmf(degree_distribution(m, i)) for i in range(m.n)])
+    assert np.array_equal(a, full)
+    for i in np.random.default_rng(3).choice(m.n, size=5, replace=False):
+        probs = np.delete(m.mu_matrix[i], i)
+        ref = a_coeff_from_pmf(poisson_binom(probs).pmf(np.arange(m.n)))
+        assert a[i] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [1.01, 2.0, 5.0, 12.0, 58.0, 250.0, 1e4])
+def test_tail_bound_within_budget(mu):
+    k = _support_width(mu, 10**6)
+    assert mu < k < 10**6 - 1
+    assert _tail_bound(mu, k) <= _TAIL_BUDGET
+    # the support never exceeds the n - 1 possible neighbours
+    assert _support_width(mu, k) == k - 1
+
+
+def test_dropped_tail_mass_below_bound():
+    m = TRUNCATING_MODELS[0]
+    k = _support_width(float(m.mu.max()), m.n)
+    for i in range(0, m.n, 20):
+        dropped = math.fsum(degree_distribution(m, i)[k + 1 :].tolist())
+        assert 0.0 < dropped <= _tail_bound(float(m.mu[i]), k)
+
+
+# ---------------------------------------------------------------------------
 # expected triangle counts
 
 
@@ -126,6 +168,7 @@ def test_expected_ti_zero_row_drops_node():
     np.fill_diagonal(full, 0.0)
     m_full = ModelSpec(n=n, alpha=0.3, beta=0.6, weights=DenseWeights(full))
     assert expected_ti(m, 4) == 0.0
+    assert a_coeff(m, 4) == 0.0
     # node 0's triangles through node 4 all vanish
     mu_full = np.asarray(m_full.mu_matrix).copy()
     mu_full[4, :] = 0.0
