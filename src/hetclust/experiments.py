@@ -79,12 +79,19 @@ def ks_distance(sample: Sequence[float]) -> float:
 
 
 def _worker_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """`explicit`, else HETCLUST_WORKERS, else the CPU count."""
+    name, value = "workers", explicit
+    if explicit is None:
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV)
+        if not value:
+            return os.cpu_count() or 1
+    try:
+        count = int(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
 
 
 def _map_replicates(task, payload, r_count: int, workers: int | None):

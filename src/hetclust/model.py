@@ -11,7 +11,10 @@ Erdos-Renyi case), a rank-one product w_ij = w_i * w_j, and an explicit
 dense symmetric matrix.
 
 The model is immutable after construction and safe to share across
-workers.  Expected degrees mu_i = sum_j mu_ij must exceed 1 for the
+workers.  Its derived arrays (`mu_matrix`, `mu`, the pair vector) are
+cached on first use and left out of the pickled state, so a constant or
+rank-one model ships to a worker in O(n) and is rebuilt there once.
+Expected degrees mu_i = sum_j mu_ij must exceed 1 for the
 variance theory downstream (several constants divide by (mu_i - 1));
 `validate` flags, rather than forbids, models that violate this.
 """
@@ -25,8 +28,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-
-from .pairs import pair_arrays
 
 __all__ = [
     "ConstantWeights",
@@ -130,6 +131,9 @@ class ModelSpec:
     beta: float
     weights: WeightSpec
 
+    # derived arrays, rebuilt on first use after unpickling
+    _CACHED = ("mu_matrix", "mu", "_mu_pairs")
+
     @property
     def p(self) -> float:
         """Baseline pair probability n**(-alpha)."""
@@ -153,10 +157,19 @@ class ModelSpec:
         m.flags.writeable = False
         return m
 
+    @cached_property
+    def _mu_pairs(self) -> np.ndarray:
+        # a row-major upper-triangle mask visits pairs in canonical order
+        v = self.mu_matrix[np.triu(np.ones((self.n, self.n), dtype=bool), 1)]
+        v.flags.writeable = False
+        return v
+
     def mu_pairs(self) -> np.ndarray:
         """Pair probabilities in canonical pair order (length n*(n-1)/2)."""
-        iu, ju = pair_arrays(self.n)
-        return self.mu_matrix[iu, ju]
+        return self._mu_pairs
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self._CACHED}
 
 
 def edge_prob(model: ModelSpec, i: int, j: int) -> float:

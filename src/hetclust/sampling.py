@@ -6,6 +6,12 @@ Philox stream keyed by (master_seed, replicate_index) and read at the
 pair's canonical rank.  Replicates can therefore be generated on any
 worker, in any order, with bit-identical results, and distinct replicate
 indices give independent edge randomness.
+
+A replicate holds the n(n-1)/2 uniforms and the model's cached pair
+vector (`ModelSpec.mu_pairs`, one per model) in memory, and decodes only
+the ranks of its edges into endpoints; it builds no all-pairs index
+arrays.  Worker processes receive the model without its cached arrays
+and rebuild them once per chunk of replicates.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import ModelSpec
-from .pairs import n_pairs, pair_arrays
+from .pairs import n_pairs, pairs_from_ranks
 
 __all__ = [
     "SeedSpec",
@@ -110,9 +116,8 @@ class Graph:
 
 def sample_graph(model: ModelSpec, seed: SeedSpec) -> Graph:
     """Draw one graph: pair {i, j} included independently w.p. mu_ij."""
-    iu, ju = pair_arrays(model.n)
-    mask = edge_indicator_stream(model, seed) < model.mu_matrix[iu, ju]
-    return Graph.from_edges(model.n, iu[mask], ju[mask])
+    hits = np.flatnonzero(edge_indicator_stream(model, seed) < model.mu_pairs())
+    return Graph.from_edges(model.n, *pairs_from_ranks(hits, model.n))
 
 
 def write_edgelist(graph: Graph, path: str | Path) -> None:

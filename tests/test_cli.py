@@ -306,3 +306,13 @@ def test_out_of_range_seed_is_one_line_error(tmp_path, capsys, seed):
     code, _, err = run_cli(capsys, argv + ["--seed", seed, "--out", str(tmp_path / "g.txt")])
     assert code != 0
     assert err == f"error: master_seed must lie in [0, 2**63), got {seed}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_worker_env_is_one_line_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("HETCLUST_WORKERS", value)
+    argv = ["mc", "--n", "30", "--alpha", "0.4", "--weights", "constant:1.0",
+            "--stat", "clustering", "--replicates", "6", "--out", str(tmp_path / "run.csv")]
+    code, _, err = run_cli(capsys, argv)
+    assert code != 0
+    assert err == f"error: HETCLUST_WORKERS must be a positive integer, got '{value}'\n"

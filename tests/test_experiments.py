@@ -107,6 +107,22 @@ def test_run_mc_worker_count_does_not_change_results():
     assert np.array_equal(res1.values, res2.values)
 
 
+def test_run_mc_rank_one_worker_pool_matches_single_process():
+    n = 60
+    m = ModelSpec(n=n, alpha=0.4, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, n)))
+    m.mu_pairs()  # the cached arrays stay behind when the pool pickles the model
+    r = 8  # at least two replicates per worker, so the pool is used
+    res1 = run_mc(m, STAT_CLUSTERING, r, master_seed=5, workers=1)
+    res2 = run_mc(m, STAT_CLUSTERING, r, master_seed=5, workers=2)
+    assert res1 == res2
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_mc_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match=f"workers must be a positive integer, got {workers}"):
+        run_mc(er_model(20, alpha=0.4), STAT_CLUSTERING, 6, master_seed=1, workers=workers)
+
+
 def test_run_mc_honors_env_worker_count(monkeypatch):
     monkeypatch.setenv("HETCLUST_WORKERS", "1")
     m = er_model(20, alpha=0.4)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hetclust.model import (
     model_to_json,
     validate,
 )
+from hetclust.pairs import pair_arrays
 
 from conftest import er_model, random_dense_model
 
@@ -174,3 +176,28 @@ def test_load_dense_csv_shape(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("0,0.5\n0.5,0\n")
     assert load_dense_csv(path).shape == (2, 2)
+
+
+def test_mu_pairs_is_read_only_gather(rng):
+    for m in (
+        er_model(9, alpha=0.4),
+        ModelSpec(n=8, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 8))),
+        random_dense_model(7, rng),
+    ):
+        iu, ju = pair_arrays(m.n)
+        v = m.mu_pairs()
+        assert np.array_equal(v, m.mu_matrix[iu, ju])
+        assert v is m.mu_pairs()
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.5
+
+
+def test_pickle_drops_cached_arrays(rng):
+    rank1 = ModelSpec(n=30, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 30)))
+    for m in (er_model(30, alpha=0.4), rank1, random_dense_model(6, rng)):
+        m.mu_matrix, m.mu, m.mu_pairs()  # fill every cache before pickling
+        back = pickle.loads(pickle.dumps(m))
+        assert set(back.__dict__) == {"n", "alpha", "beta", "weights"}
+        assert np.array_equal(back.mu_matrix, m.mu_matrix)
+        assert np.array_equal(back.mu_pairs(), m.mu_pairs())

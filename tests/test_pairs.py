@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetclust.pairs import n_pairs, pair_arrays, pair_index
+from hetclust.pairs import n_pairs, pair_arrays, pair_index, pairs_from_ranks
 
 
 def test_pair_index_matches_row_major_upper_triangular():
@@ -26,3 +26,15 @@ def test_pair_arrays_cover_all_pairs():
     seen = set(zip(iu.tolist(), ju.tolist()))
     assert len(seen) == n_pairs(n)
     assert all(i < j for i, j in seen)
+
+
+def test_pairs_from_ranks_inverts_pair_index():
+    for n in range(2, 51):
+        rows, cols = pairs_from_ranks(np.arange(n_pairs(n)), n)
+        ranks = [pair_index(i, j, n) for i, j in zip(rows.tolist(), cols.tolist())]
+        assert ranks == list(range(n_pairs(n)))
+
+
+def test_pairs_from_ranks_empty():
+    rows, cols = pairs_from_ranks(np.array([], dtype=np.int64), 6)
+    assert len(rows) == len(cols) == 0

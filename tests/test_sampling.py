@@ -1,9 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from hetclust.model import ConstantWeights, DenseWeights, ModelSpec
+from hetclust.model import ConstantWeights, DenseWeights, ModelSpec, RankOneWeights
 from hetclust.pairs import n_pairs, pair_arrays
 from hetclust.sampling import (
     Graph,
@@ -14,7 +15,7 @@ from hetclust.sampling import (
     write_edgelist,
 )
 
-from conftest import er_model
+from conftest import er_model, random_dense_model
 
 
 def edge_set(g: Graph) -> set[tuple[int, int]]:
@@ -169,3 +170,43 @@ def test_seed_range_bounds_accepted():
     m = er_model(10, alpha=0.5)
     for master_seed in (0, 2**63 - 1):
         assert len(edge_indicator_stream(m, SeedSpec(master_seed))) == n_pairs(10)
+
+
+def reference_edges(model: ModelSpec, seed: SeedSpec) -> set[tuple[int, int]]:
+    """The sampler's contract: pair k is an edge iff u_k < mu_ij at its endpoints."""
+    iu, ju = pair_arrays(model.n)
+    mask = edge_indicator_stream(model, seed) < model.mu_matrix[iu, ju]
+    return set(zip(iu[mask].tolist(), ju[mask].tolist()))
+
+
+@pytest.mark.parametrize("n", [3, 7, 300])
+@pytest.mark.parametrize("kind", ["constant", "rank1", "dense"])
+def test_sample_graph_equals_reference(n, kind):
+    if kind == "constant":
+        m = er_model(n, alpha=0.5)
+    elif kind == "rank1":
+        m = ModelSpec(n=n, alpha=0.5, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, n)))
+    else:
+        m = random_dense_model(n, np.random.default_rng(n), alpha=0.5)
+    empty = first_and_last = 0
+    for r in range(40 if n < 300 else 5):
+        seed = SeedSpec(4242, r)
+        edges = edge_set(sample_graph(m, seed))
+        assert edges == reference_edges(m, seed)
+        empty += not edges
+        first_and_last += (0, 1) in edges and (n - 2, n - 1) in edges
+    if n == 3:
+        # the boundary draws: no edge at all, and hits at ranks 0 and n(n-1)/2 - 1
+        assert empty > 0
+        assert first_and_last > 0
+
+
+def test_sampling_survives_model_pickle():
+    m = er_model(4000, alpha=0.7)
+    g = sample_graph(m, SeedSpec(11, 0))
+    payload = pickle.dumps(m)
+    assert len(payload) < 10_000
+    back = pickle.loads(payload)
+    g2 = sample_graph(back, SeedSpec(11, 0))
+    assert np.array_equal(g.indptr, g2.indptr)
+    assert np.array_equal(g.indices, g2.indices)
