@@ -15,6 +15,7 @@ from .model import (
     DenseWeights,
     ModelSpec,
     RankOneWeights,
+    _require_valid,
     load_dense_csv,
     model_from_json,
     validate,
@@ -60,10 +61,8 @@ def _model_from_args(args) -> ModelSpec:
         weights = _parse_weights(args.weights, args.n)
         beta = args.beta if args.beta is not None else _default_beta(weights)
         model = ModelSpec(n=args.n, alpha=args.alpha, beta=beta, weights=weights)
-    report = validate(model)
-    if not report.ok:
-        raise ValueError("invalid model: " + "; ".join(report.violations))
-    for flag in report.flags:
+    _require_valid(model)
+    for flag in validate(model).flags:
         print(f"warning: {flag}", file=sys.stderr)
     return model
 

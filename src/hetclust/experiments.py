@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .model import ConstantWeights, ModelSpec, model_to_json
+from .model import ConstantWeights, ModelSpec, _require_valid, model_to_json
 from .sampling import SeedSpec, sample_graph
 from .stats import avg_clustering, weighted_triangle_sum
 from .theory import (
@@ -181,6 +181,7 @@ def run_mc(
     component) of the chosen statistic.  Replicates whose statistic is
     exactly zero are kept and counted, not dropped.
     """
+    _require_valid(model)
     if r_count < 2:
         raise ValueError("need at least two replicates")
     if stat_kind == STAT_CLUSTERING:
@@ -340,6 +341,7 @@ def decomposition_check(
     triangle statistic's linear coefficients vanish), the run is flagged
     degenerate instead of reporting a correlation.
     """
+    _require_valid(model)
     if r_count < 2:
         raise ValueError("need at least two replicates")
     alpha = model.alpha

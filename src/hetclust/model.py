@@ -14,6 +14,8 @@ The model is immutable after construction and safe to share across
 workers.  Its derived arrays (`mu_matrix`, `mu`, the pair vector) are
 cached on first use and left out of the pickled state, so a constant or
 rank-one model ships to a worker in O(n) and is rebuilt there once.
+Constant weights fill the pair vector with their one probability, so a
+worker that only samples never builds the n x n matrix.
 Expected degrees mu_i = sum_j mu_ij must exceed 1 for the
 variance theory downstream (several constants divide by (mu_i - 1));
 `validate` flags, rather than forbids, models that violate this.
@@ -28,6 +30,8 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
+
+from .pairs import n_pairs
 
 __all__ = [
     "ConstantWeights",
@@ -82,7 +86,7 @@ class RankOneWeights:
         if self.w.shape != (n,):
             out.append(f"rank-one weight vector has shape {self.w.shape}, expected ({n},)")
             return out
-        if np.any(self.w < beta) or np.any(self.w > 1.0):
+        if not np.all((self.w >= beta) & (self.w <= 1.0)):
             out.append("rank-one weight entries must lie in [beta, 1]")
         return out
 
@@ -114,7 +118,7 @@ class DenseWeights:
         if np.any(np.diag(w) != 0.0):
             out.append("dense weight matrix must have zero diagonal")
         off = w[~np.eye(n, dtype=bool)]
-        if np.any(off < beta) or np.any(off > 1.0):
+        if not np.all((off >= beta) & (off <= 1.0)):
             out.append("dense off-diagonal weights must lie in [beta, 1]")
         return out
 
@@ -159,8 +163,12 @@ class ModelSpec:
 
     @cached_property
     def _mu_pairs(self) -> np.ndarray:
-        # a row-major upper-triangle mask visits pairs in canonical order
-        v = self.mu_matrix[np.triu(np.ones((self.n, self.n), dtype=bool), 1)]
+        if self.is_homogeneous:
+            # the float of every off-diagonal entry of mu_matrix
+            v = np.full(n_pairs(self.n), self.p * float(self.weights.c))
+        else:
+            # a row-major upper-triangle mask visits pairs in canonical order
+            v = self.mu_matrix[np.triu(np.ones((self.n, self.n), dtype=bool), 1)]
         v.flags.writeable = False
         return v
 
@@ -200,6 +208,32 @@ class ValidationReport:
         return not self.violations
 
 
+def _hard_violations(model: ModelSpec) -> list[str]:
+    """Node count, exponent, floor and weight checks; none builds mu_matrix."""
+    n = model.n
+    if not (isinstance(n, int) and n >= 3):
+        return [f"node count n={n} must be an integer >= 3"]
+    out = []
+    if not (0.0 < model.alpha < 1.0):
+        out.append(f"alpha={model.alpha} outside (0, 1)")
+    if not (0.0 < model.beta <= 1.0):
+        out.append(f"beta={model.beta} outside (0, 1]")
+    out.extend(model.weights.violations(n, model.beta))
+    return out
+
+
+def _require_valid(model: ModelSpec) -> None:
+    """Raise one-line `ValueError("invalid model: ...")` on a hard violation.
+
+    Library entry points call this instead of `validate`: it skips the
+    pair-probability scan over mu_matrix and leaves the expected-degree
+    flag to `validate`.
+    """
+    violations = _hard_violations(model)
+    if violations:
+        raise ValueError("invalid model: " + "; ".join(violations))
+
+
 def validate(model: ModelSpec) -> ValidationReport:
     """Check every model invariant; returns a report instead of raising.
 
@@ -207,20 +241,12 @@ def validate(model: ModelSpec) -> ValidationReport:
     flags mark models that are well-formed but incompatible with parts of
     the variance theory (expected degree <= 1).
     """
-    violations: list[str] = []
+    violations = _hard_violations(model)
     flags: list[str] = []
-    n = model.n
-    if not (isinstance(n, int) and n >= 3):
-        violations.append(f"node count n={n} must be an integer >= 3")
-        return ValidationReport(violations, flags, np.nan, np.nan, np.nan)
-    if not (0.0 < model.alpha < 1.0):
-        violations.append(f"alpha={model.alpha} outside (0, 1)")
-    if not (0.0 < model.beta <= 1.0):
-        violations.append(f"beta={model.beta} outside (0, 1]")
-    violations.extend(model.weights.violations(n, model.beta))
     if violations:
         return ValidationReport(violations, flags, np.nan, np.nan, np.nan)
 
+    n = model.n
     m = model.mu_matrix
     off = m[~np.eye(n, dtype=bool)]
     min_mu, max_mu = float(off.min()), float(off.max())

@@ -13,9 +13,24 @@ formulas elsewhere:
   forces all three degrees >= 2, so the product never vanishes on a
   contributing term.
 
-Triangles are found by intersecting sorted neighbour lists edge by edge
-(sparse row products), which is the right tool in the sparse regime where
-these graphs live.
+Per-node counts t come from one of two exact kernels, chosen by the
+graph's fill 2m / (n(n-1)) and its size:
+
+* sparse: the product (A @ A) * A on the int32 CSR adjacency, which
+  intersects sorted neighbour lists edge by edge; its cost grows like the
+  sum of squared degrees, so it wins on sparse graphs;
+* dense: the same product on a float32 0/1 matrix through one BLAS sgemm,
+  taken when the fill is at least `_DENSE_MIN_FILL` and n is at most
+  `_DENSE_MAX_N`.  Every entry of A @ A is an integer <= n - 1 < 2**24,
+  so float32 holds every partial sum exactly and the result does not
+  depend on the BLAS summation order or thread count; the row sums are
+  integers below 2**53, exact in float64.  Both kernels therefore return
+  the same integers, and the clustering coefficient built on them is the
+  same float whichever kernel ran.
+
+The weighted triangle sum stays on the sparse product: its per-edge sums
+q_ij = sum_k 1/d_k are floats added in increasing k, and no dense product
+reproduces that order, so a dense kernel would change its last bits.
 """
 
 from __future__ import annotations
@@ -44,12 +59,41 @@ class NodeTriangleProfile:
     d: np.ndarray
 
 
+# Largest n for the dense kernel: it keeps A @ A below 2**24 and bounds the
+# two n x n float32 copies (64 MB each at n = 4096).
+_DENSE_MAX_N = 4096
+# Smallest fill for the dense kernel.  With one BLAS thread the two kernels
+# break even near 3% fill at n = 300 to 2000 and near 5% at n = 4000.
+_DENSE_MIN_FILL = 0.05
+
+
+def _takes_dense_kernel(graph: Graph) -> bool:
+    n = graph.n
+    return n <= _DENSE_MAX_N and len(graph.indices) >= _DENSE_MIN_FILL * n * (n - 1)
+
+
+def _triangle_counts_sparse(graph: Graph) -> np.ndarray:
+    a = graph.adjacency_csr(dtype=np.int32)
+    return np.asarray((a @ a).multiply(a).sum(axis=1)).ravel().astype(np.int64)
+
+
+def _triangle_counts_dense(graph: Graph) -> np.ndarray:
+    a = graph.adjacency_csr(dtype=np.float32).toarray()
+    paths = a @ a
+    paths *= a
+    return paths.sum(axis=1, dtype=np.float64).astype(np.int64)
+
+
+def _triangle_counts(graph: Graph) -> np.ndarray:
+    """t_i for every node, from the kernel that fits the graph's fill."""
+    if _takes_dense_kernel(graph):
+        return _triangle_counts_dense(graph)
+    return _triangle_counts_sparse(graph)
+
+
 def triangle_profile(graph: Graph) -> NodeTriangleProfile:
     """Ordered triangle count per node: t_i = #{(j, k): i~j, j~k, k~i}."""
-    a = graph.adjacency_csr(dtype=np.int32)
-    common = (a @ a).multiply(a)
-    t = np.asarray(common.sum(axis=1)).ravel().astype(np.int64)
-    return NodeTriangleProfile(t=t, d=graph.degrees)
+    return NodeTriangleProfile(t=_triangle_counts(graph), d=graph.degrees)
 
 
 def avg_clustering(graph: Graph) -> float:

@@ -69,7 +69,7 @@ from math import comb
 
 import numpy as np
 
-from .model import ModelSpec, RankOneWeights
+from .model import ModelSpec, RankOneWeights, _require_valid
 
 __all__ = [
     "degree_distribution",
@@ -420,6 +420,7 @@ class TheoreticalMoments:
 
 
 def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
+    _require_valid(model)
     _require_supercritical(model)
     # the degree law dominates both sigma and the mean: evaluate it once
     a, et = _a_all(model), expected_ti_all(model)

@@ -100,6 +100,13 @@ def test_run_mc_rejects_bad_args():
         run_mc(m, STAT_CLUSTERING, 1, master_seed=0)
 
 
+def test_run_mc_rejects_invalid_model():
+    m = ModelSpec(n=20, alpha=0.4, beta=0.5, weights=RankOneWeights(np.linspace(0.3, 1.0, 20)))
+    with pytest.raises(ValueError) as err:
+        run_mc(m, STAT_CLUSTERING, 10, master_seed=0, workers=1)
+    assert str(err.value) == "invalid model: rank-one weight entries must lie in [beta, 1]"
+
+
 def test_run_mc_worker_count_does_not_change_results():
     m = er_model(25, alpha=0.4)
     res1 = run_mc(m, STAT_CLUSTERING, 12, master_seed=77, workers=1)
@@ -281,6 +288,16 @@ def test_decomposition_size_caps():
         decomposition_check(er_model(301, alpha=0.7), STAT_CLUSTERING, 10, master_seed=0)
     with pytest.raises(ValueError):
         decomposition_check(er_model(2001, alpha=0.3), STAT_CLUSTERING, 10, master_seed=0)
+
+
+def test_decomposition_rejects_invalid_model():
+    m = ModelSpec(n=20, alpha=1.2, beta=0.5, weights=RankOneWeights(np.ones(19)))
+    with pytest.raises(ValueError) as err:
+        decomposition_check(m, STAT_CLUSTERING, 10, master_seed=0, workers=1)
+    assert str(err.value) == (
+        "invalid model: alpha=1.2 outside (0, 1); "
+        "rank-one weight vector has shape (19,), expected (20,)"
+    )
 
 
 def test_decomposition_emission(tmp_path):

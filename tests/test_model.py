@@ -113,6 +113,10 @@ def test_validate_ranges():
     assert not report.ok
     report = validate(ModelSpec(n=10, alpha=0.5, beta=0.5, weights=RankOneWeights(np.full(10, 0.2))))
     assert not report.ok  # below beta
+    w = np.full(10, 0.7)
+    w[3] = np.nan
+    report = validate(ModelSpec(n=10, alpha=0.5, beta=0.5, weights=RankOneWeights(w)))
+    assert report.violations == ["rank-one weight entries must lie in [beta, 1]"]
 
 
 def test_validate_reports_mu_range(rng):
@@ -181,6 +185,7 @@ def test_load_dense_csv_shape(tmp_path):
 def test_mu_pairs_is_read_only_gather(rng):
     for m in (
         er_model(9, alpha=0.4),
+        er_model(9, alpha=0.55, c=0.37),
         ModelSpec(n=8, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 8))),
         random_dense_model(7, rng),
     ):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hetclust.model import ConstantWeights, DenseWeights, ModelSpec, RankOneWeights
-from hetclust.pairs import n_pairs, pair_arrays
+from hetclust.pairs import n_pairs, pair_arrays, pairs_from_ranks
 from hetclust.sampling import (
     Graph,
     SeedSpec,
@@ -208,5 +208,13 @@ def test_sampling_survives_model_pickle():
     assert len(payload) < 10_000
     back = pickle.loads(payload)
     g2 = sample_graph(back, SeedSpec(11, 0))
+    # constant weights sample from their pair vector without the n x n matrix
+    assert "mu_matrix" not in back.__dict__
     assert np.array_equal(g.indptr, g2.indptr)
     assert np.array_equal(g.indices, g2.indices)
+    # reference: threshold against the pair vector gathered from mu_matrix
+    gathered = m.mu_matrix[np.triu(np.ones((m.n, m.n), dtype=bool), 1)]
+    hits = np.flatnonzero(edge_indicator_stream(m, SeedSpec(11, 0)) < gathered)
+    ref = Graph.from_edges(m.n, *pairs_from_ranks(hits, m.n))
+    assert np.array_equal(g2.indptr, ref.indptr)
+    assert np.array_equal(g2.indices, ref.indices)

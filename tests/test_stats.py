@@ -1,15 +1,22 @@
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetclust import stats
 from hetclust.oracle import graph_from_code
-from hetclust.pairs import n_pairs
+from hetclust.pairs import n_pairs, pairs_from_ranks
 from hetclust.sampling import Graph, SeedSpec, sample_graph
 from hetclust.stats import (
+    _DENSE_MAX_N,
+    _DENSE_MIN_FILL,
+    _takes_dense_kernel,
+    _triangle_counts_dense,
+    _triangle_counts_sparse,
     avg_clustering,
     triangle_profile,
     weighted_triangle_sum,
@@ -135,3 +142,72 @@ def test_statistics_on_empty_graph():
     g = Graph.from_edges(4, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     assert avg_clustering(g) == 0.0
     assert weighted_triangle_sum(g) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the two triangle-count kernels
+
+
+def kernel_counts(g: Graph) -> np.ndarray:
+    """t from both kernels, asserted equal; also what the profile reports."""
+    t = _triangle_counts_sparse(g)
+    assert t.dtype == np.int64
+    assert np.array_equal(_triangle_counts_dense(g), t)
+    assert np.array_equal(triangle_profile(g).t, t)
+    return t
+
+
+def networkx_counts(g: Graph) -> np.ndarray:
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(zip(*(x.tolist() for x in g.edge_pairs())))
+    tri = nx.triangles(ref)
+    return 2 * np.array([tri[i] for i in range(g.n)], dtype=np.int64)
+
+
+def graph_with_edges(n: int, m: int, seed: int) -> Graph:
+    """Uniformly random graph with exactly m edges."""
+    ranks = np.sort(np.random.default_rng(seed).choice(n_pairs(n), size=m, replace=False))
+    return Graph.from_edges(n, *pairs_from_ranks(ranks, n))
+
+
+def test_kernels_agree_on_every_graph_n4_n5():
+    for n in (4, 5):
+        for code in range(1 << n_pairs(n)):
+            g = graph_from_code(n, code)
+            t = kernel_counts(g)
+            assert np.array_equal(t, reference.ordered_triangle_counts(g.adjacency_dense()))
+
+
+@pytest.mark.parametrize("alpha, dense", [(0.7, False), (0.3, True)])
+def test_kernels_agree_with_networkx_n2000(alpha, dense):
+    g = sample_graph(er_model(2000, alpha=alpha), SeedSpec(29, 0))
+    assert _takes_dense_kernel(g) is dense
+    assert np.array_equal(kernel_counts(g), networkx_counts(g))
+
+
+def test_kernel_switch_point():
+    n = 300
+    # the fewest edges whose fill 2m / (n(n-1)) reaches the cutoff
+    m_switch = math.ceil(_DENSE_MIN_FILL * n_pairs(n))
+    below, above = graph_with_edges(n, m_switch - 1, 1), graph_with_edges(n, m_switch, 2)
+    assert not _takes_dense_kernel(below)
+    assert _takes_dense_kernel(above)
+    for g in (below, above):
+        assert np.array_equal(kernel_counts(g), networkx_counts(g))
+
+
+def test_dense_kernel_size_cap():
+    # fill above the cutoff on both sides of the cap: only n decides
+    m = math.ceil(_DENSE_MIN_FILL * n_pairs(_DENSE_MAX_N + 1))
+    assert _takes_dense_kernel(graph_with_edges(_DENSE_MAX_N, m, 3))
+    assert not _takes_dense_kernel(graph_with_edges(_DENSE_MAX_N + 1, m, 3))
+
+
+def test_avg_clustering_identical_under_either_kernel(monkeypatch):
+    g = sample_graph(er_model(1000, alpha=0.2), SeedSpec(5, 0))
+    assert _takes_dense_kernel(g)
+    dense_value = avg_clustering(g)
+    monkeypatch.setattr(stats, "_DENSE_MIN_FILL", math.inf)
+    assert not _takes_dense_kernel(g)
+    assert avg_clustering(g) == dense_value

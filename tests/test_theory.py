@@ -495,6 +495,15 @@ def test_theoretical_moments_aggregate(rng):
     assert mom.sigma1_sq == s1 and mom.v2_sq == v2
 
 
+def test_theoretical_moments_rejects_invalid_model():
+    m = ModelSpec(n=30, alpha=0.4, beta=0.0, weights=ConstantWeights(1.5))
+    with pytest.raises(ValueError) as err:
+        theoretical_moments(m)
+    assert str(err.value) == (
+        "invalid model: beta=0.0 outside (0, 1]; constant weight c=1.5 outside (0, 1]"
+    )
+
+
 def test_moments_json_with_constants(rng):
     import json
 
