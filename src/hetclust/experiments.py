@@ -20,14 +20,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, is_dataclass
-from hashlib import sha1
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .model import ConstantWeights, ModelSpec, _require_valid, model_to_json
+from .model import ConstantWeights, ModelSpec, _require_valid
 from .sampling import SeedSpec, sample_graph
 from .stats import avg_clustering, weighted_triangle_sum
 from .theory import (
@@ -126,16 +125,12 @@ def _mc_task(payload, indices) -> np.ndarray:
 
 
 def _model_summary(model: ModelSpec) -> dict:
-    cfg = model_to_json(model)
-    digest = sha1(
-        np.ascontiguousarray(model.mu_matrix).tobytes()
-    ).hexdigest()
     return {
         "n": model.n,
         "alpha": model.alpha,
         "beta": model.beta,
-        "weights_kind": cfg["weights"]["kind"],
-        "mu_sha1": digest,
+        "weights_kind": model.weights.kind,
+        "mu_sha1": model.mu_sha1,
     }
 
 

@@ -11,11 +11,13 @@ Erdos-Renyi case), a rank-one product w_ij = w_i * w_j, and an explicit
 dense symmetric matrix.
 
 The model is immutable after construction and safe to share across
-workers.  Its derived arrays (`mu_matrix`, `mu`, the pair vector) are
-cached on first use and left out of the pickled state, so a constant or
-rank-one model ships to a worker in O(n) and is rebuilt there once.
-Constant weights fill the pair vector with their one probability, so a
-worker that only samples never builds the n x n matrix.
+workers.  Its derived values (`mu_matrix`, `mu`, the pair vector and the
+digest `mu_sha1`) are cached on first use and left out of the pickled
+state, so a constant or rank-one model ships to a worker in O(n) and is
+rebuilt there once, and a model is hashed once however many runs report
+it.  Rank-one weights build the pair vector row by row, and constant
+weights need none to sample (every pair has the one probability p*c), so
+a worker that only samples such a model never builds the n x n matrix.
 Expected degrees mu_i = sum_j mu_ij must exceed 1 for the
 variance theory downstream (several constants divide by (mu_i - 1));
 `validate` flags, rather than forbids, models that violate this.
@@ -26,8 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from hashlib import sha1
 from pathlib import Path
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -53,6 +56,7 @@ __all__ = [
 class ConstantWeights:
     """All off-diagonal weights equal to a constant c in (0, 1]."""
 
+    kind: ClassVar[str] = "constant"
     c: float
 
     def matrix(self, n: int) -> np.ndarray:
@@ -71,6 +75,7 @@ class ConstantWeights:
 class RankOneWeights:
     """Product weights w_ij = w_i * w_j with each w_i in [beta, 1]."""
 
+    kind: ClassVar[str] = "rank1"
     w: np.ndarray
 
     def __post_init__(self):
@@ -95,6 +100,7 @@ class RankOneWeights:
 class DenseWeights:
     """Explicit symmetric weight matrix, zero diagonal, entries in [beta, 1]."""
 
+    kind: ClassVar[str] = "dense"
     matrix_values: np.ndarray
 
     def __post_init__(self):
@@ -135,8 +141,8 @@ class ModelSpec:
     beta: float
     weights: WeightSpec
 
-    # derived arrays, rebuilt on first use after unpickling
-    _CACHED = ("mu_matrix", "mu", "_mu_pairs")
+    # derived values, rebuilt on first use after unpickling
+    _CACHED = ("mu_matrix", "mu", "_mu_pairs", "mu_sha1")
 
     @property
     def p(self) -> float:
@@ -155,20 +161,40 @@ class ModelSpec:
         return m
 
     @cached_property
+    def mu_sha1(self) -> str:
+        """SHA-1 hex digest of the bytes of `mu_matrix`, hashed from its buffer."""
+        return sha1(np.ascontiguousarray(self.mu_matrix)).hexdigest()
+
+    @cached_property
     def mu(self) -> np.ndarray:
         """Expected degrees mu_i = sum_j mu_ij."""
         m = self.mu_matrix.sum(axis=1)
         m.flags.writeable = False
         return m
 
+    @property
+    def _constant_mu(self) -> float:
+        """Every pair's probability under constant weights: the float of
+        each off-diagonal entry of `mu_matrix`."""
+        return self.p * float(self.weights.c)
+
     @cached_property
     def _mu_pairs(self) -> np.ndarray:
-        if self.is_homogeneous:
-            # the float of every off-diagonal entry of mu_matrix
-            v = np.full(n_pairs(self.n), self.p * float(self.weights.c))
+        n, w = self.n, self.weights
+        if isinstance(w, ConstantWeights):
+            v = np.full(n_pairs(n), self._constant_mu)
+        elif isinstance(w, RankOneWeights):
+            # row i holds w_i * w_j for j > i, then times p: the floats of
+            # p * outer(w, w), without the n x n matrix
+            v = np.empty(n_pairs(n))
+            start = 0
+            for i in range(n - 1):
+                np.multiply(w.w[i], w.w[i + 1 :], out=v[start : start + n - 1 - i])
+                start += n - 1 - i
+            v *= self.p
         else:
             # a row-major upper-triangle mask visits pairs in canonical order
-            v = self.mu_matrix[np.triu(np.ones((self.n, self.n), dtype=bool), 1)]
+            v = self.mu_matrix[np.triu(np.ones((n, n), dtype=bool), 1)]
         v.flags.writeable = False
         return v
 
@@ -333,9 +359,9 @@ def model_to_json(model: ModelSpec) -> dict:
     """Inverse of `model_from_json` (dense matrices are inlined)."""
     w = model.weights
     if isinstance(w, ConstantWeights):
-        wdict: dict = {"kind": "constant", "c": w.c}
+        wdict: dict = {"kind": w.kind, "c": w.c}
     elif isinstance(w, RankOneWeights):
-        wdict = {"kind": "rank1", "w": w.w.tolist()}
+        wdict = {"kind": w.kind, "w": w.w.tolist()}
     else:
-        wdict = {"kind": "dense", "W": w.matrix_values.tolist()}
+        wdict = {"kind": w.kind, "W": w.matrix_values.tolist()}
     return {"n": model.n, "alpha": model.alpha, "beta": model.beta, "weights": wdict}

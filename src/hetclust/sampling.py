@@ -7,11 +7,16 @@ pair's canonical rank.  Replicates can therefore be generated on any
 worker, in any order, with bit-identical results, and distinct replicate
 indices give independent edge randomness.
 
-A replicate holds the n(n-1)/2 uniforms and the model's cached pair
-vector (`ModelSpec.mu_pairs`, one per model) in memory, and decodes only
-the ranks of its edges into endpoints; it builds no all-pairs index
-arrays.  Worker processes receive the model without its cached arrays
-and rebuild them once per chunk of replicates.
+A replicate reads its stream in blocks of `_BLOCK` pair ranks (2 MiB of
+deviates), keeps the ranks of each block's edges, and decodes only those
+ranks into endpoints; it never holds all n(n-1)/2 uniforms or any
+all-pairs index array.  Constant weights compare each block against the
+one scalar p*c; rank-one and dense weights against the block's slice of
+the model's cached pair vector (`ModelSpec.mu_pairs`, one per model).  A
+stream read in blocks yields the same deviates as one read at once
+(`edge_indicator_stream`), so graphs do not depend on the block size.
+Worker processes receive the model without its cached arrays and rebuild
+what they use once per chunk of replicates.
 """
 
 from __future__ import annotations
@@ -50,18 +55,25 @@ class SeedSpec:
             raise ValueError("replicate_index must be >= 0")
 
 
+# pair ranks per block of the sampler's deviate stream (2 MiB of float64)
+_BLOCK = 1 << 18
+
+
+def _philox(seed: SeedSpec) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.Philox(key=[seed.master_seed, seed.replicate_index])
+    )
+
+
 def edge_indicator_stream(model: ModelSpec, seed: SeedSpec) -> np.ndarray:
-    """Per-pair uniforms underlying `sample_graph` for the same seed.
+    """Per-pair uniforms underlying `sample_graph` for the same seed, in one array.
 
     Entry k belongs to the k-th pair in canonical order.  The pair {i, j}
     of the sampled graph is present iff its deviate is strictly below
     mu_ij, so centered indicators can be recomputed without storing the
-    graph.
+    graph.  `sample_graph` reads the same stream in blocks instead.
     """
-    gen = np.random.Generator(
-        np.random.Philox(key=[seed.master_seed, seed.replicate_index])
-    )
-    return gen.random(n_pairs(model.n))
+    return _philox(seed).random(n_pairs(model.n))
 
 
 @dataclass(frozen=True)
@@ -115,9 +127,25 @@ class Graph:
 
 
 def sample_graph(model: ModelSpec, seed: SeedSpec) -> Graph:
-    """Draw one graph: pair {i, j} included independently w.p. mu_ij."""
-    hits = np.flatnonzero(edge_indicator_stream(model, seed) < model.mu_pairs())
-    return Graph.from_edges(model.n, *pairs_from_ranks(hits, model.n))
+    """Draw one graph: pair {i, j} included independently w.p. mu_ij.
+
+    The deviates of `edge_indicator_stream` are read `_BLOCK` pair ranks
+    at a time into one buffer; each block keeps the ranks whose deviate
+    lies below the pair's probability, which is the scalar p*c for
+    constant weights and the block's slice of `model.mu_pairs()` otherwise.
+    """
+    total = n_pairs(model.n)
+    gen = _philox(seed)
+    mu = model._constant_mu if model.is_homogeneous else model.mu_pairs()
+    buf = np.empty(min(_BLOCK, total))
+    hits = [np.empty(0, dtype=np.intp)]  # what n < 2 returns: no pairs, no blocks
+    for start in range(0, total, _BLOCK):
+        u = buf[: min(_BLOCK, total - start)]
+        gen.random(out=u)
+        threshold = mu if model.is_homogeneous else mu[start : start + len(u)]
+        hits.append(np.flatnonzero(u < threshold) + start)
+    ranks = np.concatenate(hits)
+    return Graph.from_edges(model.n, *pairs_from_ranks(ranks, model.n))
 
 
 def write_edgelist(graph: Graph, path: str | Path) -> None:
@@ -130,16 +158,28 @@ def write_edgelist(graph: Graph, path: str | Path) -> None:
 
 
 def read_edgelist(path: str | Path) -> Graph:
+    """Inverse of `write_edgelist`; an unparsable line fails as `<path>:<line>: ...`."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "n":
-            raise ValueError(f"{path}: malformed edge-list header")
-        n = int(header[1])
+        header = fh.readline()
+        try:
+            key, count = header.split()
+            n = int(count)
+        except ValueError:
+            key = None
+        if key != "n":
+            raise ValueError(
+                f"{path}:1: malformed edge-list header {header.strip()!r}, expected 'n <count>'"
+            )
         rows, cols, seen = [], [], set()
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            i, j = map(int, line.split())
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected two integer node indices, got {line.strip()!r}"
+                ) from None
             if not (0 <= i < j < n):
                 raise ValueError(f"{path}: invalid edge ({i}, {j}) for n={n}")
             if (i, j) in seen:

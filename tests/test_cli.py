@@ -316,3 +316,18 @@ def test_bad_worker_env_is_one_line_error(tmp_path, capsys, monkeypatch, value):
     code, _, err = run_cli(capsys, argv)
     assert code != 0
     assert err == f"error: HETCLUST_WORKERS must be a positive integer, got '{value}'\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("n 4\n0 1\n1 2 3\n", "3: expected two integer node indices, got '1 2 3'"),
+     ("n 4\nx 1\n", "2: expected two integer node indices, got 'x 1'"),
+     ("n four\n0 1\n", "1: malformed edge-list header 'n four', expected 'n <count>'")],
+)
+def test_malformed_edgelist_is_one_line_error(tmp_path, capsys, text, expected):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["stats", str(path)])
+    assert code != 0
+    assert out == ""
+    assert err == f"error: {path}:{expected}\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from hetclust import model as model_module
 from hetclust.experiments import (
     STAT_CLUSTERING,
     STAT_TRIANGLES,
+    _model_summary,
     decomposition_check,
     default_filename,
     emit_results,
@@ -20,7 +23,7 @@ from hetclust.experiments import (
 )
 from hetclust.model import ModelSpec, RankOneWeights
 
-from conftest import er_model
+from conftest import er_model, random_dense_model
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +125,36 @@ def test_run_mc_rank_one_worker_pool_matches_single_process():
     res1 = run_mc(m, STAT_CLUSTERING, r, master_seed=5, workers=1)
     res2 = run_mc(m, STAT_CLUSTERING, r, master_seed=5, workers=2)
     assert res1 == res2
+
+
+@pytest.mark.parametrize("kind", ["constant", "rank1", "dense"])
+def test_model_digest_hashes_mu_matrix_bytes(kind):
+    n = 40
+    if kind == "constant":
+        m = er_model(n, alpha=0.4, c=0.8)
+    elif kind == "rank1":
+        w = np.random.default_rng(3).uniform(0.5, 1, n)
+        m = ModelSpec(n=n, alpha=0.4, beta=0.5, weights=RankOneWeights(w))
+    else:
+        m = random_dense_model(n, np.random.default_rng(3))
+    summary = _model_summary(m)
+    assert summary["weights_kind"] == m.weights.kind
+    assert summary["mu_sha1"] == hashlib.sha1(m.mu_matrix.tobytes()).hexdigest()
+
+
+def test_model_digest_computed_once_per_model(monkeypatch):
+    calls = []
+
+    def counting_sha1(data):
+        calls.append(data.nbytes)
+        return hashlib.sha1(data)
+
+    monkeypatch.setattr(model_module, "sha1", counting_sha1)
+    m = er_model(30, alpha=0.4)
+    for stat in (STAT_CLUSTERING, STAT_TRIANGLES):
+        run_mc(m, stat, 4, master_seed=2, workers=1)
+    decomposition_check(m, STAT_CLUSTERING, 4, master_seed=2, workers=1)
+    assert calls == [m.mu_matrix.nbytes]
 
 
 @pytest.mark.parametrize("workers", [0, -1])

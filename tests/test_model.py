@@ -187,6 +187,8 @@ def test_mu_pairs_is_read_only_gather(rng):
         er_model(9, alpha=0.4),
         er_model(9, alpha=0.55, c=0.37),
         ModelSpec(n=8, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 8))),
+        # rank-one vectors are built row by row, without mu_matrix
+        ModelSpec(n=300, alpha=0.6, beta=0.3, weights=RankOneWeights(rng.uniform(0.3, 1, 300))),
         random_dense_model(7, rng),
     ):
         iu, ju = pair_arrays(m.n)
@@ -201,8 +203,9 @@ def test_mu_pairs_is_read_only_gather(rng):
 def test_pickle_drops_cached_arrays(rng):
     rank1 = ModelSpec(n=30, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 30)))
     for m in (er_model(30, alpha=0.4), rank1, random_dense_model(6, rng)):
-        m.mu_matrix, m.mu, m.mu_pairs()  # fill every cache before pickling
+        m.mu_matrix, m.mu, m.mu_pairs(), m.mu_sha1  # fill every cache before pickling
         back = pickle.loads(pickle.dumps(m))
         assert set(back.__dict__) == {"n", "alpha", "beta", "weights"}
         assert np.array_equal(back.mu_matrix, m.mu_matrix)
         assert np.array_equal(back.mu_pairs(), m.mu_pairs())
+        assert back.mu_sha1 == m.mu_sha1

@@ -1,10 +1,12 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hetclust.model import ConstantWeights, DenseWeights, ModelSpec, RankOneWeights
+from hetclust import sampling
 from hetclust.pairs import n_pairs, pair_arrays, pairs_from_ranks
 from hetclust.sampling import (
     Graph,
@@ -160,6 +162,21 @@ def test_read_edgelist_rejects_malformed(tmp_path):
         read_edgelist(bad)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("n 4\n0 1\n1 2 3\n", 3), ("n 4\n\nx 1\n", 3), ("n 4\n0 1\n2\n", 3),
+     ("n four\n0 1\n", 1), ("n\n", 1), ("", 1)],
+)
+def test_read_edgelist_parse_error_names_file_and_line(tmp_path, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_edgelist(bad)
+    message = str(err.value)
+    assert message.startswith(f"{bad}:{line}: ")
+    assert len(message.splitlines()) == 1
+
+
 @pytest.mark.parametrize("master_seed", [-1, 2**63, 340282366920938463463374607431768211457])
 def test_seed_outside_philox_key_range_rejected(master_seed):
     with pytest.raises(ValueError, match="master_seed"):
@@ -179,15 +196,21 @@ def reference_edges(model: ModelSpec, seed: SeedSpec) -> set[tuple[int, int]]:
     return set(zip(iu[mask].tolist(), ju[mask].tolist()))
 
 
-@pytest.mark.parametrize("n", [3, 7, 300])
-@pytest.mark.parametrize("kind", ["constant", "rank1", "dense"])
-def test_sample_graph_equals_reference(n, kind):
+KINDS = ["constant", "rank1", "dense"]
+
+
+def kind_model(kind: str, n: int) -> ModelSpec:
     if kind == "constant":
-        m = er_model(n, alpha=0.5)
-    elif kind == "rank1":
-        m = ModelSpec(n=n, alpha=0.5, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, n)))
-    else:
-        m = random_dense_model(n, np.random.default_rng(n), alpha=0.5)
+        return er_model(n, alpha=0.5)
+    if kind == "rank1":
+        return ModelSpec(n=n, alpha=0.5, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, n)))
+    return random_dense_model(n, np.random.default_rng(n), alpha=0.5)
+
+
+@pytest.mark.parametrize("n", [3, 7, 300])
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_graph_equals_reference(n, kind):
+    m = kind_model(kind, n)
     empty = first_and_last = 0
     for r in range(40 if n < 300 else 5):
         seed = SeedSpec(4242, r)
@@ -201,20 +224,87 @@ def test_sample_graph_equals_reference(n, kind):
         assert first_and_last > 0
 
 
+@pytest.mark.parametrize("block", [1, 7, 21])
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_graph_any_block_size_equals_reference(monkeypatch, kind, block):
+    # n=7 has 21 pairs: blocks of one rank, a ragged last block, one exact block
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    m = kind_model(kind, 7)
+    for r in range(40):
+        seed = SeedSpec(4242, r)
+        assert edge_set(sample_graph(m, seed)) == reference_edges(m, seed)
+
+
+@pytest.mark.parametrize("n", [725, 1000])
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_graph_across_default_block_boundary(n, kind):
+    assert sampling._BLOCK < n_pairs(n) < 2 * sampling._BLOCK
+    m = kind_model(kind, n)
+    for r in range(2):
+        seed = SeedSpec(4242, r)
+        assert edge_set(sample_graph(m, seed)) == reference_edges(m, seed)
+
+
+def one_call_graph(model: ModelSpec, seed: SeedSpec) -> Graph:
+    """The whole deviate stream thresholded at once against the pair vector."""
+    hits = np.flatnonzero(edge_indicator_stream(model, seed) < model.mu_pairs())
+    return Graph.from_edges(model.n, *pairs_from_ranks(hits, model.n))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_and_two_node_graphs_equal_one_call_draw(n, kind):
+    m = kind_model(kind, n)
+    for r in range(20):
+        g, ref = sample_graph(m, SeedSpec(5, r)), one_call_graph(m, SeedSpec(5, r))
+        assert g.n == ref.n == n
+        for got, want in ((g.indptr, ref.indptr), (g.indices, ref.indices)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that numpy and Python allocate while `call` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_graph_memory_is_one_block_not_all_pairs():
+    # n=4000 has 8.0e6 pairs: 61 MiB of deviates drawn at once
+    sample_graph(er_model(10, alpha=0.5), SeedSpec(1))  # warm the code path
+    fresh = er_model(4000, alpha=0.7)
+    assert traced_peak(lambda: sample_graph(fresh, SeedSpec(1))) < 8 * 2**20
+    assert not {"mu_matrix", "_mu_pairs"} & set(fresh.__dict__)
+    rank1 = ModelSpec(
+        n=4000, alpha=0.7, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 4000))
+    )
+    rank1.mu_pairs()
+    assert traced_peak(lambda: sample_graph(rank1, SeedSpec(1))) < 8 * 2**20
+
+
 def test_sampling_survives_model_pickle():
-    m = er_model(4000, alpha=0.7)
-    g = sample_graph(m, SeedSpec(11, 0))
-    payload = pickle.dumps(m)
-    assert len(payload) < 10_000
-    back = pickle.loads(payload)
-    g2 = sample_graph(back, SeedSpec(11, 0))
-    # constant weights sample from their pair vector without the n x n matrix
-    assert "mu_matrix" not in back.__dict__
-    assert np.array_equal(g.indptr, g2.indptr)
-    assert np.array_equal(g.indices, g2.indices)
-    # reference: threshold against the pair vector gathered from mu_matrix
-    gathered = m.mu_matrix[np.triu(np.ones((m.n, m.n), dtype=bool), 1)]
-    hits = np.flatnonzero(edge_indicator_stream(m, SeedSpec(11, 0)) < gathered)
-    ref = Graph.from_edges(m.n, *pairs_from_ranks(hits, m.n))
-    assert np.array_equal(g2.indptr, ref.indptr)
-    assert np.array_equal(g2.indices, ref.indices)
+    rank1 = ModelSpec(
+        n=4000, alpha=0.7, beta=0.5,
+        weights=RankOneWeights(np.random.default_rng(4).uniform(0.5, 1, 4000)),
+    )
+    # the payload carries the weights, never the cached arrays
+    for m, max_bytes in ((er_model(4000, alpha=0.7), 10_000), (rank1, 10_000 + 8 * 4000)):
+        g = sample_graph(m, SeedSpec(11, 0))
+        payload = pickle.dumps(m)
+        assert len(payload) < max_bytes
+        back = pickle.loads(payload)
+        g2 = sample_graph(back, SeedSpec(11, 0))
+        # constant and rank-one weights sample without the n x n matrix
+        assert "mu_matrix" not in back.__dict__
+        assert np.array_equal(g.indptr, g2.indptr)
+        assert np.array_equal(g.indices, g2.indices)
+        # reference: threshold against the pair vector gathered from mu_matrix
+        gathered = m.mu_matrix[np.triu(np.ones((m.n, m.n), dtype=bool), 1)]
+        hits = np.flatnonzero(edge_indicator_stream(m, SeedSpec(11, 0)) < gathered)
+        ref = Graph.from_edges(m.n, *pairs_from_ranks(hits, m.n))
+        assert np.array_equal(g2.indptr, ref.indptr)
+        assert np.array_equal(g2.indices, ref.indices)
