@@ -11,10 +11,7 @@ from .model import (
     DenseWeights,
     ModelSpec,
     RankOneWeights,
-    edge_prob,
-    expected_degree,
     model_from_json,
-    model_to_json,
     validate,
 )
 from .sampling import Graph, SeedSpec, edge_indicator_stream, read_edgelist, sample_graph, write_edgelist
@@ -25,8 +22,6 @@ from .theory import (
     clustering_constants,
     sigma_closed_forms,
     v_closed_form_rank_one,
-    degree_distribution,
-    expected_ti,
     mean_cc_approx,
     mean_t_leading,
     sigma_components,
@@ -34,7 +29,7 @@ from .theory import (
     triangle_constants,
     v_components,
 )
-from .oracle import OracleReport, enumerate_a_coeff, enumerate_moments
+from .oracle import OracleReport, enumerate_moments
 from .experiments import (
     DecompositionReport,
     McRunResult,

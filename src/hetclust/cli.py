@@ -12,11 +12,10 @@ from . import experiments, oracle, sampling, stats, theory
 from .experiments import _fmt
 from .model import (
     ConstantWeights,
-    DenseWeights,
     ModelSpec,
     RankOneWeights,
     _require_valid,
-    load_dense_csv,
+    _weights_from_dict,
     model_from_json,
     validate,
 )
@@ -27,17 +26,17 @@ _STAT_BY_FLAG = {
 }
 
 
-def _parse_weights(spec: str, n: int):
+def _weights_dict(spec: str) -> dict:
+    """The JSON `weights` object an inline `--weights` string stands for."""
     kind, _, rest = spec.partition(":")
     if kind == "constant":
-        return ConstantWeights(float(rest))
+        return {"kind": kind, "c": float(rest)}
     if kind == "rank1":
         if rest.startswith("grid:"):
-            lo, hi = rest[len("grid:"):].split(",")
-            return RankOneWeights(np.linspace(float(lo), float(hi), n))
-        return RankOneWeights(np.loadtxt(rest, dtype=np.float64).ravel())
+            return {"kind": kind, "grid": [float(x) for x in rest[len("grid:"):].split(",")]}
+        return {"kind": kind, "w": np.loadtxt(rest, dtype=np.float64).ravel()}
     if kind == "dense":
-        return DenseWeights(load_dense_csv(rest))
+        return {"kind": kind, "csv": rest}
     raise ValueError(f"unknown weight spec {spec!r}; use constant:<c>, rank1:..., dense:<file>")
 
 
@@ -58,7 +57,7 @@ def _model_from_args(args) -> ModelSpec:
     else:
         if args.n is None or args.alpha is None or args.weights is None:
             raise ValueError("inline model needs --n, --alpha and --weights")
-        weights = _parse_weights(args.weights, args.n)
+        weights = _weights_from_dict(_weights_dict(args.weights), args.n, None, "")
         beta = args.beta if args.beta is not None else _default_beta(weights)
         model = ModelSpec(n=args.n, alpha=args.alpha, beta=beta, weights=weights)
     _require_valid(model)

@@ -43,18 +43,27 @@ __all__ = [
     "WeightSpec",
     "ModelSpec",
     "ValidationReport",
-    "edge_prob",
-    "expected_degree",
     "validate",
     "model_from_json",
-    "model_to_json",
     "load_dense_csv",
 ]
 
 
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The n(n-1) off-diagonal entries of a square array as n-1 rows of n.
+
+    In the flattened array, each run of n+1 entries after entry (0, 0)
+    ends on the next diagonal entry, which the rows drop.  Flattening a C-
+    or F-contiguous array (the diagonal sits at the same offsets in both)
+    is a view, so the rows are one too and nothing n x n is copied.
+    """
+    n = m.shape[0]
+    return m.ravel(order="A")[1:].reshape(n - 1, n + 1)[:, :n]
+
+
 @dataclass(frozen=True)
 class ConstantWeights:
-    """All off-diagonal weights equal to a constant c in (0, 1]."""
+    """All off-diagonal weights equal to a constant c in [beta, 1]."""
 
     kind: ClassVar[str] = "constant"
     c: float
@@ -65,10 +74,11 @@ class ConstantWeights:
         return w
 
     def violations(self, n: int, beta: float) -> list[str]:
-        out = []
         if not (0.0 < self.c <= 1.0):
-            out.append(f"constant weight c={self.c} outside (0, 1]")
-        return out
+            return [f"constant weight c={self.c} outside (0, 1]"]
+        if self.c < beta:
+            return [f"constant weight c={self.c} below beta={beta}"]
+        return []
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,8 @@ class DenseWeights:
             out.append(f"dense weight matrix is asymmetric (first mismatch at ({i}, {j}))")
         if np.any(np.diag(w) != 0.0):
             out.append("dense weight matrix must have zero diagonal")
-        off = w[~np.eye(n, dtype=bool)]
-        if not np.all((off >= beta) & (off <= 1.0)):
+        off = _off_diagonal(w)
+        if not (off.min() >= beta and off.max() <= 1.0):  # NaN fails both
             out.append("dense off-diagonal weights must lie in [beta, 1]")
         return out
 
@@ -206,21 +216,6 @@ class ModelSpec:
         return {k: v for k, v in self.__dict__.items() if k not in self._CACHED}
 
 
-def edge_prob(model: ModelSpec, i: int, j: int) -> float:
-    """Probability that the pair {i, j} is connected; 0 on the diagonal."""
-    n = model.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node index out of range for n={n}")
-    return float(model.mu_matrix[i, j])
-
-
-def expected_degree(model: ModelSpec, i: int) -> float:
-    """Expected degree mu_i of node i."""
-    if not (0 <= i < model.n):
-        raise IndexError(f"node index out of range for n={model.n}")
-    return float(model.mu[i])
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     violations: list[str]
@@ -272,9 +267,7 @@ def validate(model: ModelSpec) -> ValidationReport:
     if violations:
         return ValidationReport(violations, flags, np.nan, np.nan, np.nan)
 
-    n = model.n
-    m = model.mu_matrix
-    off = m[~np.eye(n, dtype=bool)]
+    off = _off_diagonal(model.mu_matrix)
     min_mu, max_mu = float(off.min()), float(off.max())
     if min_mu <= 0.0 or max_mu >= 1.0:
         violations.append(
@@ -353,15 +346,3 @@ def model_from_json(source: str | Path | dict) -> ModelSpec:
         )
     except KeyError as exc:
         raise ValueError(f"{where}model config lacks key {exc.args[0]!r}") from None
-
-
-def model_to_json(model: ModelSpec) -> dict:
-    """Inverse of `model_from_json` (dense matrices are inlined)."""
-    w = model.weights
-    if isinstance(w, ConstantWeights):
-        wdict: dict = {"kind": w.kind, "c": w.c}
-    elif isinstance(w, RankOneWeights):
-        wdict = {"kind": w.kind, "w": w.w.tolist()}
-    else:
-        wdict = {"kind": w.kind, "W": w.matrix_values.tolist()}
-    return {"n": model.n, "alpha": model.alpha, "beta": model.beta, "weights": wdict}

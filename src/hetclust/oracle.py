@@ -27,13 +27,11 @@ from .sampling import Graph
 __all__ = [
     "OracleReport",
     "enumerate_moments",
-    "enumerate_a_coeff",
     "enumeration_tables",
     "graph_from_code",
 ]
 
 MAX_ENUM_N = 7
-MAX_A_ENUM_N = 12
 _LOG_SPACE_THRESHOLD = 1e-3
 
 
@@ -159,26 +157,3 @@ def enumerate_moments(model: ModelSpec) -> OracleReport:
         exact_a=a,
         graph_count=len(pr),
     )
-
-
-def enumerate_a_coeff(model: ModelSpec, i: int) -> float:
-    """Exact truncated E[1/(d_i(d_i-1))] by enumerating node i's edges.
-
-    Only the 2^(n-1) configurations of edges incident to i matter, so this
-    scales to n = 12.
-    """
-    n = model.n
-    if n > MAX_A_ENUM_N:
-        raise ValueError(f"incident-edge enumeration supports n <= {MAX_A_ENUM_N}, got {n}")
-    if not (0 <= i < n):
-        raise IndexError(f"node index out of range for n={n}")
-    probs = np.delete(model.mu_matrix[i], i)
-    m = n - 1
-    cfg = np.arange(1 << m, dtype=np.uint32)
-    bits = ((cfg[:, None] >> np.arange(m, dtype=np.uint32)[None, :]) & 1).astype(
-        np.float64
-    )
-    pr = _graph_probabilities(bits.astype(np.int8), probs)
-    d = bits.sum(axis=1)
-    val = np.where(d >= 2, 1.0 / np.where(d >= 2, d * (d - 1.0), 1.0), 0.0)
-    return float(pr @ val)

@@ -166,7 +166,7 @@ def read_edgelist(path: str | Path) -> Graph:
             n = int(count)
         except ValueError:
             key = None
-        if key != "n":
+        if key != "n" or n < 0:
             raise ValueError(
                 f"{path}:1: malformed edge-list header {header.strip()!r}, expected 'n <count>'"
             )

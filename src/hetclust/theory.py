@@ -72,10 +72,8 @@ import numpy as np
 from .model import ModelSpec, RankOneWeights, _require_valid
 
 __all__ = [
-    "degree_distribution",
     "a_coeff",
     "a_coeff_from_pmf",
-    "expected_ti",
     "expected_ti_all",
     "ClusteringConstants",
     "clustering_constants",
@@ -134,17 +132,6 @@ def _degree_pmfs(rows: np.ndarray, k: int) -> np.ndarray:
     return pmf.T
 
 
-def _check_node(model: ModelSpec, i: int) -> None:
-    if not (0 <= i < model.n):
-        raise IndexError(f"node index out of range for n={model.n}")
-
-
-def degree_distribution(model: ModelSpec, i: int) -> np.ndarray:
-    """Exact PMF of d_i on {0, ..., n-1}."""
-    _check_node(model, i)
-    return _degree_pmfs(model.mu_matrix[i : i + 1], model.n - 1)[0]
-
-
 def a_coeff_from_pmf(pmf: np.ndarray) -> float:
     """E[1/(d(d-1))] truncated to d >= 2, for a degree PMF."""
     k = np.arange(2, len(pmf))
@@ -154,7 +141,8 @@ def a_coeff_from_pmf(pmf: np.ndarray) -> float:
 
 def a_coeff(model: ModelSpec, i: int) -> float:
     """Mean inverse ordered-pair count of d_i, truncated to d_i >= 2."""
-    _check_node(model, i)
+    if not (0 <= i < model.n):
+        raise IndexError(f"node index out of range for n={model.n}")
     k = _support_width(float(model.mu[i]), model.n)
     return a_coeff_from_pmf(_degree_pmfs(model.mu_matrix[i : i + 1], k)[0])
 
@@ -167,15 +155,8 @@ def _a_all(model: ModelSpec) -> np.ndarray:
     return np.array([a_coeff_from_pmf(pmf) for pmf in _degree_pmfs(model.mu_matrix, k)])
 
 
-def expected_ti(model: ModelSpec, i: int) -> float:
-    """E[t_i] = sum over ordered pairs (j, k) of mu_ij mu_jk mu_ki."""
-    _check_node(model, i)
-    m = model.mu_matrix
-    row = m[i]
-    return float(row @ m @ row)
-
-
 def expected_ti_all(model: ModelSpec) -> np.ndarray:
+    """E[t_i] = sum over ordered pairs (j, k) of mu_ij mu_jk mu_ki, every i."""
     m = model.mu_matrix
     return ((m @ m) * m).sum(axis=1)
 

@@ -290,7 +290,9 @@ def test_model_file_missing_key_is_one_line_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "weights, message",
     [(5, "key 'weights' must be an object, got 5"),
-     ({"kind": "rank1", "grid": 5}, "key 'grid' must be a two-number list, got 5")],
+     ({"kind": "rank1", "grid": 5}, "key 'grid' must be a two-number list, got 5"),
+     # the message the inline rank1:grid:0.5 gives, with the file's path
+     ({"kind": "rank1", "grid": [0.5]}, "key 'grid' must be a two-number list, got [0.5]")],
 )
 def test_model_file_malformed_weights_is_one_line_error(tmp_path, capsys, weights, message):
     path = tmp_path / "m.json"
@@ -298,6 +300,24 @@ def test_model_file_malformed_weights_is_one_line_error(tmp_path, capsys, weight
     code, _, err = run_cli(capsys, ["theory", "--model", str(path)])
     assert code != 0
     assert err == f"error: {path}: model config {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--weights", "rank1:grid:0.5"], "model config key 'grid' must be a two-number list, got [0.5]"),
+     (["--weights", "constant:abc"], "could not convert string to float: 'abc'"),
+     (["--weights", "constant:0.3", "--beta", "0.5"],
+      "invalid model: constant weight c=0.3 below beta=0.5"),
+     (["--weights", "uniform:0.5"],
+      "unknown weight spec 'uniform:0.5'; use constant:<c>, rank1:..., dense:<file>")],
+)
+def test_inline_weight_spec_is_one_line_error(tmp_path, capsys, flags, message):
+    argv = ["sample", "--n", "10", "--alpha", "0.5", *flags, "--out", str(tmp_path / "g.txt")]
+    code, out, err = run_cli(capsys, argv)
+    assert code != 0
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "g.txt").exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", "340282366920938463463374607431768211457"])
@@ -322,7 +342,8 @@ def test_bad_worker_env_is_one_line_error(tmp_path, capsys, monkeypatch, value):
     "text, expected",
     [("n 4\n0 1\n1 2 3\n", "3: expected two integer node indices, got '1 2 3'"),
      ("n 4\nx 1\n", "2: expected two integer node indices, got 'x 1'"),
-     ("n four\n0 1\n", "1: malformed edge-list header 'n four', expected 'n <count>'")],
+     ("n four\n0 1\n", "1: malformed edge-list header 'n four', expected 'n <count>'"),
+     ("n -2\n", "1: malformed edge-list header 'n -2', expected 'n <count>'")],
 )
 def test_malformed_edgelist_is_one_line_error(tmp_path, capsys, text, expected):
     path = tmp_path / "g.txt"

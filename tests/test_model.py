@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,8 @@ from hetclust.model import (
     DenseWeights,
     ModelSpec,
     RankOneWeights,
-    edge_prob,
-    expected_degree,
     load_dense_csv,
     model_from_json,
-    model_to_json,
     validate,
 )
 from hetclust.pairs import pair_arrays
@@ -25,55 +23,49 @@ from conftest import er_model, random_dense_model
 
 def test_edge_prob_constant_weights():
     m = ModelSpec(n=100, alpha=0.5, beta=0.5, weights=ConstantWeights(0.5))
-    assert edge_prob(m, 0, 1) == pytest.approx(0.05, abs=1e-15)
+    assert m.mu_matrix[0, 1] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_edge_prob_zero_diagonal(rng):
     for m in (er_model(10, alpha=0.4), random_dense_model(6, rng)):
         for i in range(m.n):
-            assert edge_prob(m, i, i) == 0.0
+            assert m.mu_matrix[i, i] == 0.0
 
 
 def test_edge_prob_rank_one():
     m = ModelSpec(n=4, alpha=0.5, beta=0.5, weights=RankOneWeights([1, 1, 0.5, 0.5]))
-    assert edge_prob(m, 2, 3) == pytest.approx(0.125, rel=1e-15)
-
-
-def test_edge_prob_out_of_range():
-    m = er_model(5, alpha=0.5)
-    with pytest.raises(IndexError):
-        edge_prob(m, 0, 5)
+    assert m.mu_matrix[2, 3] == pytest.approx(0.125, rel=1e-15)
 
 
 def test_expected_degree_homogeneous():
     n, alpha = 30, 0.4
     m = er_model(n, alpha=alpha)
-    assert expected_degree(m, 3) == pytest.approx((n - 1) * n ** (-alpha), rel=1e-13)
+    assert m.mu[3] == pytest.approx((n - 1) * n ** (-alpha), rel=1e-13)
 
 
 def test_expected_degree_half_probability():
     m = er_model(4, p=0.5)
     for i in range(4):
-        assert expected_degree(m, i) == pytest.approx(1.5, rel=1e-13)
+        assert m.mu[i] == pytest.approx(1.5, rel=1e-13)
 
 
 def test_expected_degree_rank_one():
     m = ModelSpec(n=4, alpha=0.5, beta=0.5, weights=RankOneWeights([1, 1, 0.5, 0.5]))
-    assert expected_degree(m, 0) == pytest.approx(1.0, rel=1e-13)
+    assert m.mu[0] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_expected_degree_sums_edge_probs(rng):
     m = random_dense_model(7, rng)
     for i in range(m.n):
-        total = sum(edge_prob(m, i, j) for j in range(m.n))
-        assert abs(expected_degree(m, i) - total) < 1e-12
+        total = sum(m.p * m.weights.matrix_values[i, j] for j in range(m.n))
+        assert abs(m.mu[i] - total) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 7))
 def test_edge_prob_symmetric(i, j):
     m = random_dense_model(8, np.random.default_rng(1))
-    assert edge_prob(m, i, j) == edge_prob(m, j, i)
+    assert m.mu_matrix[i, j] == m.mu_matrix[j, i]
 
 
 def test_rank_one_constant_equivalence():
@@ -110,7 +102,9 @@ def test_validate_ranges():
     report = validate(ModelSpec(n=10, alpha=1.5, beta=0.5, weights=ConstantWeights(0.5)))
     assert not report.ok
     report = validate(ModelSpec(n=10, alpha=0.5, beta=0.5, weights=ConstantWeights(1.5)))
-    assert not report.ok
+    assert report.violations == ["constant weight c=1.5 outside (0, 1]"]
+    report = validate(ModelSpec(n=10, alpha=0.5, beta=0.5, weights=ConstantWeights(0.3)))
+    assert report.violations == ["constant weight c=0.3 below beta=0.5"]  # as rank-one [0.3]*10
     report = validate(ModelSpec(n=10, alpha=0.5, beta=0.5, weights=RankOneWeights(np.full(10, 0.2))))
     assert not report.ok  # below beta
     w = np.full(10, 0.7)
@@ -128,16 +122,32 @@ def test_validate_reports_mu_range(rng):
 
 
 def test_model_json_round_trip(tmp_path, rng):
-    for m in (
-        er_model(12, alpha=0.45, c=0.8),
-        ModelSpec(n=5, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 5))),
-        random_dense_model(5, rng),
+    dense = random_dense_model(5, rng)
+    w = np.linspace(0.5, 1, 5)
+    for m, weights in (
+        (er_model(12, alpha=0.45, c=0.8), {"kind": "constant", "c": 0.8}),
+        (ModelSpec(n=5, alpha=0.3, beta=0.5, weights=RankOneWeights(w)), {"kind": "rank1", "w": w.tolist()}),
+        (dense, {"kind": "dense", "W": dense.weights.matrix_values.tolist()}),
     ):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_json(m)))
+        path.write_text(json.dumps({"n": m.n, "alpha": m.alpha, "beta": m.beta, "weights": weights}))
         back = model_from_json(path)
         assert back.n == m.n and back.alpha == m.alpha and back.beta == m.beta
         assert np.allclose(back.mu_matrix, m.mu_matrix, rtol=0, atol=0)
+
+
+def test_validate_copies_no_pair_matrix():
+    m = er_model(2000, alpha=0.6)
+    m.mu_matrix, m.mu  # cached, as after any earlier use of the model
+    tracemalloc.start()
+    try:
+        report = validate(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.min_mu == report.max_mu == m.p
+    # an off-diagonal copy alone would take 2000 * 1999 * 8 bytes (30.5 MiB)
+    assert peak < 2 * 2**20
 
 
 def test_model_json_grid_and_csv(tmp_path):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from hetclust.model import ConstantWeights, ModelSpec
-from hetclust.oracle import (
-    enumerate_a_coeff,
-    enumerate_moments,
-    enumeration_tables,
-    graph_from_code,
-)
+from hetclust.oracle import enumerate_moments, enumeration_tables, graph_from_code
 from hetclust.pairs import n_pairs
 from hetclust.sampling import SeedSpec, edge_indicator_stream
 from hetclust.stats import avg_clustering, weighted_triangle_sum
@@ -49,8 +44,6 @@ def test_log_space_branch_matches_direct():
 def test_rejects_large_n():
     with pytest.raises(ValueError):
         enumerate_moments(er_model(8, alpha=0.5))
-    with pytest.raises(ValueError):
-        enumerate_a_coeff(er_model(13, alpha=0.5), 0)
 
 
 def test_tables_match_statistics_module():
@@ -73,8 +66,9 @@ def test_moments_match_theory_exactly(rng):
 
 
 def test_enumerate_a_coeff_binomial():
-    m = er_model(5, p=0.5)
-    assert enumerate_a_coeff(m, 0) == pytest.approx(0.234375, rel=1e-13)
+    # d ~ Binomial(4, 0.5) at every node: (1/16)(6/2 + 4/6 + 1/12)
+    a = enumerate_moments(er_model(5, p=0.5)).exact_a
+    assert a == pytest.approx(np.full(5, 0.234375), rel=1e-13)
 
 
 def test_enumerate_a_coeff_saturated_probabilities():
@@ -83,13 +77,7 @@ def test_enumerate_a_coeff_saturated_probabilities():
     alpha = 1e-15
     m = ModelSpec(n=n, alpha=alpha, beta=1.0, weights=ConstantWeights(1.0))
     expect = 1.0 / ((n - 1) * (n - 2))
-    assert enumerate_a_coeff(m, 2) == pytest.approx(expect, rel=1e-12)
-
-
-def test_enumerate_a_coeff_matches_theory_n8(rng):
-    m = random_dense_model(8, rng)
-    for i in (0, 3, 7):
-        assert abs(enumerate_a_coeff(m, i) - a_coeff(m, i)) < 1e-12
+    assert enumerate_moments(m).exact_a[2] == pytest.approx(expect, rel=1e-12)
 
 
 def test_monte_carlo_consistency_tiny_n():

@@ -165,7 +165,7 @@ def test_read_edgelist_rejects_malformed(tmp_path):
 @pytest.mark.parametrize(
     "text, line",
     [("n 4\n0 1\n1 2 3\n", 3), ("n 4\n\nx 1\n", 3), ("n 4\n0 1\n2\n", 3),
-     ("n four\n0 1\n", 1), ("n\n", 1), ("", 1)],
+     ("n four\n0 1\n", 1), ("n\n", 1), ("", 1), ("n -2\n0 1\n", 1)],
 )
 def test_read_edgelist_parse_error_names_file_and_line(tmp_path, text, line):
     bad = tmp_path / "bad.txt"

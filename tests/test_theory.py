@@ -9,6 +9,7 @@ from hetclust.sampling import SeedSpec, sample_graph
 from hetclust.stats import avg_clustering
 from hetclust.theory import (
     _TAIL_BUDGET,
+    _degree_pmfs,
     _support_width,
     _tail_bound,
     a_coeff,
@@ -16,8 +17,6 @@ from hetclust.theory import (
     clustering_constants,
     sigma_closed_forms,
     v_closed_form_rank_one,
-    degree_distribution,
-    expected_ti,
     expected_ti_all,
     mean_cc_approx,
     mean_t_leading,
@@ -37,10 +36,15 @@ from conftest import er_model, random_dense_model
 # degree law
 
 
+def full_degree_pmf(m, i):
+    """PMF of d_i on the full support {0, ..., n-1}, nothing truncated."""
+    return _degree_pmfs(m.mu_matrix[i : i + 1], m.n - 1)[0]
+
+
 def test_degree_distribution_matches_binomial():
     n, alpha = 300, 0.45
     m = er_model(n, alpha=alpha)
-    pmf = degree_distribution(m, 17)
+    pmf = full_degree_pmf(m, 17)
     k = np.arange(n)
     expect = binom.pmf(k, n - 1, n ** (-alpha))
     assert np.max(np.abs(pmf - expect)) < 1e-12
@@ -56,23 +60,18 @@ def test_degree_distribution_heterogeneous_example():
     w[1, 2] = w[1, 3] = w[2, 3] = 0.5
     w[2, 1] = w[3, 1] = w[3, 2] = 0.5
     m = ModelSpec(n=n, alpha=0.05, beta=0.1, weights=DenseWeights(w))
-    pmf = degree_distribution(m, 0)
+    pmf = full_degree_pmf(m, 0)
     assert pmf[0] == pytest.approx(0.04, rel=1e-12)
 
 
 def test_degree_distribution_normalized(rng):
     m = random_dense_model(9, rng)
     for i in (0, 4, 8):
-        pmf = degree_distribution(m, i)
+        pmf = full_degree_pmf(m, i)
         assert np.all(pmf >= 0)
         assert abs(pmf.sum() - 1.0) < 1e-12
         mean = float(np.arange(len(pmf)) @ pmf)
         assert mean == pytest.approx(float(m.mu[i]), rel=1e-9)
-
-
-def test_degree_distribution_index_error():
-    with pytest.raises(IndexError):
-        degree_distribution(er_model(5, alpha=0.5), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +82,27 @@ def test_a_coeff_binomial_example():
     # d ~ Binomial(4, 0.5): (1/16)(6/2 + 4/6 + 1/12)
     m = er_model(5, p=0.5)
     assert a_coeff(m, 0) == pytest.approx(0.234375, rel=1e-13)
+
+
+@pytest.mark.parametrize("i", [5, -1])
+def test_a_coeff_index_error(i):
+    with pytest.raises(IndexError, match="node index out of range for n=5"):
+        a_coeff(er_model(5, alpha=0.5), i)
+
+
+def test_a_coeff_saturated_probabilities():
+    # mu_ij -> 1 concentrates the degree at n-1
+    n = 6
+    m = ModelSpec(n=n, alpha=1e-15, beta=1.0, weights=ConstantWeights(1.0))
+    assert a_coeff(m, 2) == pytest.approx(1.0 / ((n - 1) * (n - 2)), rel=1e-12)
+
+
+def test_a_coeff_matches_poisson_binom_n8(rng):
+    m = random_dense_model(8, rng)
+    for i in (0, 3, 7):
+        probs = np.delete(m.mu_matrix[i], i)
+        ref = a_coeff_from_pmf(poisson_binom(probs).pmf(np.arange(m.n)))
+        assert abs(a_coeff(m, i) - ref) < 1e-12
 
 
 def test_a_coeff_degenerate_pmf():
@@ -112,7 +132,7 @@ TRUNCATING_MODELS = [
 def test_truncated_degree_law_matches_full_support(m):
     assert _support_width(float(m.mu.max()), m.n) < m.n // 2
     a = clustering_constants(m).a
-    full = np.array([a_coeff_from_pmf(degree_distribution(m, i)) for i in range(m.n)])
+    full = np.array([a_coeff_from_pmf(full_degree_pmf(m, i)) for i in range(m.n)])
     assert np.array_equal(a, full)
     for i in np.random.default_rng(3).choice(m.n, size=5, replace=False):
         probs = np.delete(m.mu_matrix[i], i)
@@ -133,7 +153,7 @@ def test_dropped_tail_mass_below_bound():
     m = TRUNCATING_MODELS[0]
     k = _support_width(float(m.mu.max()), m.n)
     for i in range(0, m.n, 20):
-        dropped = math.fsum(degree_distribution(m, i)[k + 1 :].tolist())
+        dropped = math.fsum(full_degree_pmf(m, i)[k + 1 :].tolist())
         assert 0.0 < dropped <= _tail_bound(float(m.mu[i]), k)
 
 
@@ -143,17 +163,15 @@ def test_dropped_tail_mass_below_bound():
 
 def test_expected_ti_er():
     m = er_model(4, p=0.5)
-    assert expected_ti(m, 0) == pytest.approx(0.75, rel=1e-13)
+    assert expected_ti_all(m)[0] == pytest.approx(0.75, rel=1e-13)
 
 
 def test_expected_ti_matches_direct(rng):
     m = random_dense_model(8, rng)
     mu = np.asarray(m.mu_matrix)
+    et = expected_ti_all(m)
     for i in range(8):
-        assert expected_ti(m, i) == pytest.approx(
-            reference.expected_ti_direct(mu, i), rel=1e-13
-        )
-    assert np.allclose(expected_ti_all(m), [expected_ti(m, i) for i in range(8)], rtol=1e-13)
+        assert et[i] == pytest.approx(reference.expected_ti_direct(mu, i), rel=1e-13)
 
 
 def test_expected_ti_zero_row_drops_node():
@@ -167,15 +185,14 @@ def test_expected_ti_zero_row_drops_node():
     full = np.full((n, n), 0.6)
     np.fill_diagonal(full, 0.0)
     m_full = ModelSpec(n=n, alpha=0.3, beta=0.6, weights=DenseWeights(full))
-    assert expected_ti(m, 4) == 0.0
+    et = expected_ti_all(m)
+    assert et[4] == 0.0
     assert a_coeff(m, 4) == 0.0
     # node 0's triangles through node 4 all vanish
     mu_full = np.asarray(m_full.mu_matrix).copy()
     mu_full[4, :] = 0.0
     mu_full[:, 4] = 0.0
-    assert expected_ti(m, 0) == pytest.approx(
-        reference.expected_ti_direct(mu_full, 0), rel=1e-13
-    )
+    assert et[0] == pytest.approx(reference.expected_ti_direct(mu_full, 0), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +377,7 @@ def test_mean_cc_approx_matches_monte_carlo():
 
 def test_mean_cc_first_term_near_density():
     m = er_model(500, alpha=0.4)
-    term1 = expected_ti(m, 0) * a_coeff(m, 0)
+    term1 = expected_ti_all(m)[0] * a_coeff(m, 0)
     assert term1 / m.p == pytest.approx(1.0, abs=0.2)
 
 
