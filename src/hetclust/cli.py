@@ -14,6 +14,7 @@ from .model import (
     ConstantWeights,
     ModelSpec,
     RankOneWeights,
+    _off_diagonal,
     _require_valid,
     _weights_from_dict,
     model_from_json,
@@ -40,13 +41,16 @@ def _weights_dict(spec: str) -> dict:
     raise ValueError(f"unknown weight spec {spec!r}; use constant:<c>, rank1:..., dense:<file>")
 
 
-def _default_beta(weights) -> float:
+def _default_beta(weights, n: int) -> float:
     if isinstance(weights, ConstantWeights):
         return weights.c
     if isinstance(weights, RankOneWeights):
         return float(weights.w.min())
     w = weights.matrix_values
-    return float(w[~np.eye(w.shape[0], dtype=bool)].min())
+    if w.shape != (n, n):
+        # any valid floor: the model's shape violation is the one error
+        return 1.0
+    return float(_off_diagonal(w).min())
 
 
 def _model_from_args(args) -> ModelSpec:
@@ -58,7 +62,7 @@ def _model_from_args(args) -> ModelSpec:
         if args.n is None or args.alpha is None or args.weights is None:
             raise ValueError("inline model needs --n, --alpha and --weights")
         weights = _weights_from_dict(_weights_dict(args.weights), args.n, None, "")
-        beta = args.beta if args.beta is not None else _default_beta(weights)
+        beta = args.beta if args.beta is not None else _default_beta(weights, args.n)
         model = ModelSpec(n=args.n, alpha=args.alpha, beta=beta, weights=weights)
     _require_valid(model)
     for flag in validate(model).flags:

@@ -28,9 +28,38 @@ graph's fill 2m / (n(n-1)) and its size:
   the same integers, and the clustering coefficient built on them is the
   same float whichever kernel ran.
 
-The weighted triangle sum stays on the sparse product: its per-edge sums
-q_ij = sum_k 1/d_k are floats added in increasing k, and no dense product
-reproduces that order, so a dense kernel would change its last bits.
+The weighted triangle sum reaches each triangle through its three edges:
+it adds q_ij / (d_i d_j) over the edges i < j with math.fsum and divides
+by 3, where q_ij = sum of 1/d_k over the common neighbours k of i and j.
+Each q_ij is defined as the correctly rounded value of that sum of the
+floats inv_k = fl(1/d_k), so it depends on no summation order.  It is
+computed exactly by splitting every inv_k into two parts,
+
+    hi_k = floor(inv_k * 2**36) * 2**-36,    lo_k = inv_k - hi_k,
+
+both exact floats (after Ozaki, Ogita, Oishi & Rump 2012).  While every
+degree is below 2**18, a common neighbour k has inv_k in (2**-18, 1/2],
+so hi_k is a multiple of 2**-36 no larger than 1/2 and lo_k a multiple of
+2**-70 below 2**-36, and an edge has fewer than 2**18 common neighbours.
+Every partial sum of hi parts is then a multiple of 2**-36 below 2**17,
+and every partial sum of lo parts a multiple of 2**-70 below 2**-18: both
+fit in 53 bits, so they are exact in any order, and
+q_ij = fl(sum hi + sum lo) is rounded once.  A larger degree raises a
+ValueError.  The per-edge sums come from one of two kernels, switched
+like the triangle counts but at their own fill, `_WEIGHTED_DENSE_MIN_FILL`:
+
+* sparse: the complex128 product of A, its columns scaled by hi + i lo,
+  with A on the CSR adjacency, masked to the edges; the real and
+  imaginary parts each sum exactly.  It runs on chunks of rows so that
+  the complex product stays small;
+* dense: float64 BLAS products of row blocks of A, scaled column-wise by
+  hi and by lo, with the columns of A from the block's first row on, so
+  only the upper triangle is formed; the edges are read off the blocks.
+  Every product of a 0/1 entry and a part is exact, so fused or blocked
+  BLAS arithmetic changes nothing.
+
+Both kernels, and any BLAS thread count, give the same q_ij and so the
+same statistic, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,12 +88,26 @@ class NodeTriangleProfile:
     d: np.ndarray
 
 
-# Largest n for the dense kernel: it keeps A @ A below 2**24 and bounds the
-# two n x n float32 copies (64 MB each at n = 4096).
+# Largest n for either dense kernel: it keeps A @ A below 2**24 and bounds
+# the n x n copies (64 MB in float32, 128 MB in float64 at n = 4096).
 _DENSE_MAX_N = 4096
 # Smallest fill for the dense kernel.  With one BLAS thread the two kernels
 # break even near 3% fill at n = 300 to 2000 and near 5% at n = 4000.
 _DENSE_MIN_FILL = 0.05
+# Smallest fill for the weighted sum's dense kernel, whose float64 products
+# cost about four sgemms.  With one BLAS thread it breaks even with the
+# complex SpGEMM near 7% fill at n = 400 to 2000 and 8-9% at n = 3000 to
+# 4000.
+_WEIGHTED_DENSE_MIN_FILL = 0.08
+# Floats in one row block's product in that kernel (2 MB): one block up to
+# n = 362, eight at n = 1000.  Each block is one BLAS call, as few as the
+# memory allows: when Monte Carlo workers and BLAS threads oversubscribe
+# the CPUs, every call waits for descheduled threads.
+_BLOCK_FLOATS = 2**18
+# Degrees must stay below this for the per-edge sums to be exact, and the
+# split grid: hi_k is 1/d_k truncated to a multiple of 1/_SPLIT.
+_MAX_DEGREE = 2**18
+_SPLIT = 2.0**36
 
 
 def _takes_dense_kernel(graph: Graph) -> bool:
@@ -105,23 +148,83 @@ def avg_clustering(graph: Graph) -> float:
     return float(np.where(denom > 0, profile.t / safe, 0.0).mean())
 
 
+def _takes_dense_weighted_kernel(graph: Graph) -> bool:
+    n = graph.n
+    return n <= _DENSE_MAX_N and len(graph.indices) >= _WEIGHTED_DENSE_MIN_FILL * n * (n - 1)
+
+
+def _split_inverse_degrees(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi and lo with hi + lo = fl(1/d) exactly, hi on the grid 1/_SPLIT."""
+    # an isolated node is nobody's neighbour; any finite inverse will do
+    inv = 1.0 / np.maximum(d, 1.0)
+    hi = np.floor(inv * _SPLIT) / _SPLIT
+    return hi, inv - hi
+
+
+def _edge_sums_sparse(graph: Graph, hi: np.ndarray, lo: np.ndarray):
+    """Upper edges (i, j) and their q_ij, from complex SpGEMMs on row chunks."""
+    # complex from the start, so no product casts a copy of it
+    a = graph.adjacency_csr(dtype=np.complex128)
+    k = graph.indices
+    # column k of A scaled by hi_k + i lo_k
+    split = sp.csr_matrix(((hi + 1j * lo)[k], k, graph.indptr), shape=a.shape)
+    # row i of split @ a has at most sum(d_k, k ~ i) entries, sum(d**2) in
+    # all: chunks of rows with about _BLOCK_FLOATS of them bound its memory
+    d = graph.degrees
+    if d @ d <= _BLOCK_FLOATS:
+        chunks = [(0, split, a)]
+    else:
+        reach = np.concatenate(([0], np.cumsum(d[k])))[graph.indptr[1:]]
+        cuts = np.unique(np.searchsorted(reach, np.arange(_BLOCK_FLOATS, reach[-1], _BLOCK_FLOATS)))
+        bounds = [0, *cuts.tolist(), graph.n]
+        chunks = ((r0, split[r0:r1], a[r0:r1]) for r0, r1 in zip(bounds[:-1], bounds[1:]))
+    pieces = []
+    for r0, split_rows, a_rows in chunks:
+        q = (split_rows @ a).multiply(a_rows).tocsr()
+        rows = np.repeat(np.arange(r0, r0 + q.shape[0]), np.diff(q.indptr))
+        upper = rows < q.indices
+        sums = q.data[upper]
+        pieces.append((rows[upper], q.indices[upper], sums.real + sums.imag))
+    return [np.concatenate(x) for x in zip(*pieces)]
+
+
+def _edge_sums_dense(graph: Graph, hi: np.ndarray, lo: np.ndarray):
+    """Upper edges (i, j) and their q_ij, from float64 BLAS products on row blocks."""
+    n = graph.n
+    rows, cols = graph.edge_pairs()
+    a = graph.adjacency_dense()
+    q = np.empty(len(rows))
+    step = max(1, _BLOCK_FLOATS // (2 * max(n, 1)))
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        # the block's edges, in canonical order; columns counted from r0
+        e0, e1 = np.searchsorted(rows, (r0, r1))
+        i, j = rows[e0:e1] - r0, cols[e0:e1] - r0
+        block = a[r0:r1]
+        # hi-scaled rows over lo-scaled rows: one product gives both sums
+        sums = np.concatenate((block * hi, block * lo)) @ a[:, r0:]
+        q[e0:e1] = sums[i, j] + sums[i + (r1 - r0), j]
+    return rows, cols, q
+
+
 def weighted_triangle_sum(graph: Graph) -> float:
     """Sum over triangles {i<j<k} of 1 / (d_i d_j d_k).
 
-    Each triangle is reached through its three edges; the per-edge sums
-    of 1/d_k over common neighbours k come from one sparse product, and
-    the final reduction is compensated so tiny graphs reproduce the
-    brute-force value to full precision.
+    Each triangle is reached through its three edges: the sum adds
+    q_ij / (d_i d_j) over the edges with math.fsum and divides by 3.  The
+    per-edge sums q_ij of 1/d_k over common neighbours k are correctly
+    rounded (see the module docstring), so the result is the same float
+    whichever kernel ran and however BLAS ordered its sums.  Raises
+    ValueError if a degree reaches 2**18, beyond which the split that
+    makes q_ij exact no longer holds.
     """
-    a = graph.adjacency_csr(dtype=np.float64)
     d = graph.degrees.astype(np.float64)
-    # column k of a scaled by 1/d_k; every listed k has d_k >= 1
-    a_scaled = sp.csr_matrix((1.0 / d[graph.indices], graph.indices, graph.indptr), shape=a.shape)
-    # q_ij = sum_k 1/d_k over common neighbours k of the edge (i, j)
-    q = (a_scaled @ a).multiply(a).tocsr()
-    rows = np.repeat(np.arange(graph.n), np.diff(q.indptr))
-    cols, vals = q.indices, q.data
-    upper = rows < cols
-    contrib = vals[upper] / (d[rows[upper]] * d[cols[upper]])
+    if graph.n and d.max() >= _MAX_DEGREE:
+        raise ValueError(
+            f"weighted triangle sum needs every degree below {_MAX_DEGREE}; "
+            f"the largest is {int(d.max())}"
+        )
+    edge_sums = _edge_sums_dense if _takes_dense_weighted_kernel(graph) else _edge_sums_sparse
+    rows, cols, q = edge_sums(graph, *_split_inverse_degrees(d))
     # every triangle is counted once per edge
-    return math.fsum(contrib.tolist()) / 3.0
+    return math.fsum((q / (d[rows] * d[cols])).tolist()) / 3.0

@@ -8,6 +8,8 @@ inputs only.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +49,26 @@ def weighted_triangle_sum_direct(adj: np.ndarray) -> float:
         if adj[i, j] and adj[j, k] and adj[k, i]:
             total += 1.0 / (d[i] * d[j] * d[k])
     return total
+
+
+def weighted_triangle_sum_exact(adj: np.ndarray) -> float:
+    """The weighted triangle sum with correctly rounded per-edge sums.
+
+    For each edge i < j, q_ij sums the floats 1/d_k over the common
+    neighbours k as exact fractions and rounds once; then, as the library
+    does, q_ij / (d_i d_j) is added over the edges with math.fsum and the
+    total divided by 3.  Every fraction is brought to one power-of-two
+    denominator so the per-edge sums are integer additions.
+    """
+    d = adj.sum(axis=1)
+    inv = [Fraction(1.0 / dk) if dk else Fraction(0) for dk in d]
+    den = max(f.denominator for f in inv)
+    num = np.array([f.numerator * (den // f.denominator) for f in inv], dtype=object)
+    contrib = []
+    for i, j in zip(*np.nonzero(np.triu(adj, 1))):
+        q = Fraction(int(num[(adj[i] * adj[j]) != 0].sum()), den)
+        contrib.append(float(q) / (d[i] * d[j]))
+    return math.fsum(contrib) / 3.0
 
 
 def expected_ti_direct(mu: np.ndarray, i: int) -> float:

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hetclust.cli import main
+from hetclust.cli import _default_beta, main
 from hetclust.experiments import STAT_CLUSTERING, run_mc
-from hetclust.model import model_from_json
+from hetclust.model import DenseWeights, model_from_json
 from hetclust.theory import theoretical_moments
 
 from conftest import er_model
@@ -266,6 +266,24 @@ def test_dense_weights_from_csv(tmp_path, capsys):
         ["oracle", "--n", "5", "--alpha", "0.4", "--weights", f"dense:{csv}"],
     )
     assert code == 0
+
+
+def test_dense_default_beta_is_smallest_off_diagonal_weight():
+    w = np.full((5, 5), 0.8)
+    w[1, 3] = w[3, 1] = 0.6
+    np.fill_diagonal(w, 0.0)
+    assert _default_beta(DenseWeights(w), 5) == 0.6
+
+
+@pytest.mark.parametrize("beta", [[], ["--beta", "0.5"]])
+def test_dense_weights_of_wrong_shape_is_one_line_error(tmp_path, capsys, beta):
+    csv = tmp_path / "w.csv"
+    np.savetxt(csv, np.full((40, 39), 0.8), delimiter=",")
+    argv = ["theory", "--n", "40", "--alpha", "0.3", "--weights", f"dense:{csv}", *beta]
+    code, out, err = run_cli(capsys, argv)
+    assert code != 0
+    assert out == ""
+    assert err == "error: invalid model: dense weight matrix has shape (40, 39), expected (40, 40)\n"
 
 
 def test_rank1_weights_from_file(tmp_path, capsys):

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -7,14 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hetclust
 from hetclust import stats
 from hetclust.oracle import graph_from_code
 from hetclust.pairs import n_pairs, pairs_from_ranks
 from hetclust.sampling import Graph, SeedSpec, sample_graph
 from hetclust.stats import (
+    _BLOCK_FLOATS,
     _DENSE_MAX_N,
     _DENSE_MIN_FILL,
+    _MAX_DEGREE,
+    _WEIGHTED_DENSE_MIN_FILL,
     _takes_dense_kernel,
+    _takes_dense_weighted_kernel,
     _triangle_counts_dense,
     _triangle_counts_sparse,
     avg_clustering,
@@ -211,3 +220,102 @@ def test_avg_clustering_identical_under_either_kernel(monkeypatch):
     monkeypatch.setattr(stats, "_DENSE_MIN_FILL", math.inf)
     assert not _takes_dense_kernel(g)
     assert avg_clustering(g) == dense_value
+
+
+# ---------------------------------------------------------------------------
+# the two weighted-sum kernels: exact per-edge sums, so the same float
+
+
+def weighted_by_kernel(g: Graph, monkeypatch) -> list[float]:
+    """The weighted triangle sum from the dense, then the sparse kernel, each
+    in its own blocks and in blocks of a few rows."""
+    values = []
+    for fill in (0.0, math.inf):
+        monkeypatch.setattr(stats, "_WEIGHTED_DENSE_MIN_FILL", fill)
+        assert _takes_dense_weighted_kernel(g) is (fill == 0.0)
+        for block_floats in (_BLOCK_FLOATS, 6 * g.n):
+            monkeypatch.setattr(stats, "_BLOCK_FLOATS", block_floats)
+            values.append(weighted_triangle_sum(g))
+    return values
+
+
+def assert_kernels_exact(g: Graph, monkeypatch) -> None:
+    exact = reference.weighted_triangle_sum_exact(g.adjacency_dense())
+    assert weighted_by_kernel(g, monkeypatch) == [exact] * 4
+
+
+def test_weighted_kernels_exact_on_every_graph_n4_n5(monkeypatch):
+    for n in (4, 5):
+        for code in range(1 << n_pairs(n)):
+            assert_kernels_exact(graph_from_code(n, code), monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "n, fill",
+    [(60, 0.3), (60, 0.9), (150, 0.04), (150, 0.2), (300, 0.02), (300, 0.1), (300, 0.5)],
+)
+def test_weighted_kernels_exact_on_random_graphs(n, fill, monkeypatch):
+    assert_kernels_exact(graph_with_edges(n, round(fill * n_pairs(n)), n), monkeypatch)
+
+
+def test_weighted_kernels_exact_with_hubs_and_degree_two_nodes(monkeypatch):
+    # nodes 0 and 1 join every node (degree n - 1), nodes 2..149 join only
+    # them (degree 2) and nodes 150..299 also join half of each other, so
+    # 1/d spans exponents from -1 to -9
+    n, rng = 300, np.random.default_rng(7)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:2] = True
+    rest = np.arange(150, n)
+    adj[np.ix_(rest, rest)] = rng.random((len(rest), len(rest))) < 0.5
+    adj = np.triu(adj | adj.T, 1)
+    g = Graph.from_edges(n, *np.nonzero(adj))
+    d = g.degrees
+    assert d[:2].tolist() == [n - 1, n - 1] and np.all(d[2:150] == 2)
+    assert_kernels_exact(g, monkeypatch)
+
+
+def test_weighted_kernel_switch_point(monkeypatch):
+    n = 300
+    m_switch = math.ceil(_WEIGHTED_DENSE_MIN_FILL * n_pairs(n))
+    below, above = graph_with_edges(n, m_switch - 1, 4), graph_with_edges(n, m_switch, 5)
+    assert not _takes_dense_weighted_kernel(below)
+    assert _takes_dense_weighted_kernel(above)
+    for g in (below, above):
+        exact = reference.weighted_triangle_sum_exact(g.adjacency_dense())
+        assert weighted_triangle_sum(g) == exact
+
+
+def test_weighted_sum_rejects_degree_at_bound():
+    star = Graph.from_edges(
+        _MAX_DEGREE + 1, np.zeros(_MAX_DEGREE, dtype=np.int64), np.arange(1, _MAX_DEGREE + 1)
+    )
+    with pytest.raises(ValueError, match=f"every degree below {_MAX_DEGREE}; the largest is {_MAX_DEGREE}"):
+        weighted_triangle_sum(star)
+
+
+def test_weighted_sum_same_bytes_under_one_and_two_blas_threads():
+    # the per-edge sums too: a plain dgemm changes some of them with the
+    # thread count while the rounded total may not show it
+    script = (
+        "import hashlib\n"
+        "from hetclust import stats\n"
+        "from hetclust.model import ConstantWeights, ModelSpec\n"
+        "from hetclust.sampling import SeedSpec, sample_graph\n"
+        "m = ModelSpec(n=1000, alpha=0.2, beta=1.0, weights=ConstantWeights(1.0))\n"
+        "g = sample_graph(m, SeedSpec(5, 0))\n"
+        "assert stats._takes_dense_weighted_kernel(g)\n"
+        "split = stats._split_inverse_degrees(g.degrees.astype(float))\n"
+        "q = stats._edge_sums_dense(g, *split)[2]\n"
+        "print(hashlib.sha256(q.tobytes()).hexdigest())\n"
+        "print(repr(stats.weighted_triangle_sum(g)))\n"
+    )
+    src = str(Path(hetclust.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
