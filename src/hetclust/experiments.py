@@ -20,8 +20,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -107,21 +108,82 @@ def _map_replicates(task, payload, r_count: int, workers: int | None):
     return np.concatenate(parts, axis=0)
 
 
-def _stat_value(graph, stat_kind: str) -> float:
-    if stat_kind == STAT_CLUSTERING:
-        return avg_clustering(graph)
-    if stat_kind == STAT_TRIANGLES:
-        return weighted_triangle_sum(graph)
-    raise ValueError(f"unknown statistic kind: {stat_kind!r}")
+# Leading terms as functions of the centered adjacency b = A - mu_matrix, with
+# their coefficients bound first by `partial`, so that workers can unpickle them.
 
 
-def _mc_task(payload, indices) -> np.ndarray:
-    model, master_seed, stat_kind = payload
-    out = np.empty(len(indices))
-    for pos, r in enumerate(indices):
+def _cubic_clustering(a, b) -> float:
+    """(2/n) sum_{i<j<k} (a_i + a_j + a_k) b_ij b_ik b_jk"""
+    return float(a @ ((b @ b) * b).sum(axis=1)) / len(a)
+
+
+def _cubic_triangles(inv_mu_sqrt, b) -> float:
+    """sum_{i<j<k} b_ij b_jk b_ki / (mu_i mu_j mu_k), inv_mu_sqrt_ij = 1/sqrt(mu_i mu_j)"""
+    bt = b * inv_mu_sqrt
+    return float(((bt @ bt) * bt).sum()) / 6.0
+
+
+def _linear(scale, coef, b) -> float:
+    return scale * float((coef * b).sum())
+
+
+def _clustering_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
+    consts = clustering_constants(model)
+    return (
+        partial(_cubic_clustering, consts.a) if cubic else None,
+        partial(_linear, 0.5 / model.n, consts.e) if linear and np.any(consts.e) else None,
+    )
+
+
+def _triangle_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
+    mu = model.mu
+    # constant weights make delta vanish identically; computed, it holds rounding noise
+    return (
+        partial(_cubic_triangles, 1.0 / np.sqrt(np.outer(mu, mu))) if cubic else None,
+        partial(_linear, 0.5, triangle_constants(model).delta)
+        if linear and not model.is_homogeneous
+        else None,
+    )
+
+
+class _Statistic(NamedTuple):
+    value: Callable  # graph -> statistic
+    components: Callable  # model -> exact (cubic, linear) variance components
+    # (model, cubic wanted, linear wanted) -> (cubic, linear) leading terms,
+    # each None where not wanted or identically zero
+    terms: Callable
+
+
+_STATISTICS = {
+    STAT_CLUSTERING: _Statistic(avg_clustering, sigma_components, _clustering_terms),
+    STAT_TRIANGLES: _Statistic(weighted_triangle_sum, v_components, _triangle_terms),
+}
+
+
+def _statistic(stat_kind: str) -> _Statistic:
+    try:
+        return _STATISTICS[stat_kind]
+    except KeyError:
+        raise ValueError(f"unknown statistic kind: {stat_kind!r}") from None
+
+
+def _replicate_task(payload, indices) -> np.ndarray:
+    """Each replicate's statistic; given leading terms, rows of the statistic
+    and the sum of the terms that are not None."""
+    model, master_seed, stat_kind, terms = payload
+    value = _statistic(stat_kind).value
+    rows = []
+    for r in indices:
         g = sample_graph(model, SeedSpec(master_seed, int(r)))
-        out[pos] = _stat_value(g, stat_kind)
-    return out
+        if terms is None:
+            rows.append(value(g))
+            continue
+        b = g.adjacency_dense() - model.mu_matrix
+        lead = 0.0
+        for term in filter(None, terms):
+            lead += term(b)
+        rows.append((value(g), lead))
+    return np.array(rows)
 
 
 def _model_summary(model: ModelSpec) -> dict:
@@ -179,16 +241,11 @@ def run_mc(
     _require_valid(model)
     if r_count < 2:
         raise ValueError("need at least two replicates")
-    if stat_kind == STAT_CLUSTERING:
-        s1, s2 = sigma_components(model)
-        scale_sq = s1 + s2
-    elif stat_kind == STAT_TRIANGLES:
-        v1, v2 = v_components(model)
-        scale_sq = v1 + v2
-    else:
-        raise ValueError(f"unknown statistic kind: {stat_kind!r}")
+    cubic, linear = _statistic(stat_kind).components(model)
+    scale_sq = cubic + linear
 
-    values = _map_replicates(_mc_task, (model, master_seed, stat_kind), r_count, workers)
+    payload = (model, master_seed, stat_kind, None)
+    values = _map_replicates(_replicate_task, payload, r_count, workers)
     emp_mean = float(values.mean())
     scale = math.sqrt(scale_sq)
     if centering == "empirical":
@@ -257,6 +314,7 @@ def phase_sweep(n: int, alphas: Iterable[float], weight_c: float = 1.0) -> Phase
     records = []
     for alpha in alphas:
         model = ModelSpec(n=n, alpha=float(alpha), beta=weight_c, weights=ConstantWeights(weight_c))
+        _require_valid(model)
         s1, s2 = sigma_components(model)
         closed = sigma_closed_forms(n, float(alpha))
         records.append(
@@ -298,29 +356,6 @@ class DecompositionReport(_Result):
     leading: np.ndarray
 
 
-def _decomp_task(payload, indices) -> np.ndarray:
-    (model, master_seed, stat_kind, mu_mat, a_vec, e_mat, delta_mat, inv_mu_sqrt) = payload
-    n = model.n
-    out = np.empty((len(indices), 2))
-    for pos, r in enumerate(indices):
-        g = sample_graph(model, SeedSpec(master_seed, int(r)))
-        value = _stat_value(g, stat_kind)
-        b = g.adjacency_dense() - mu_mat
-        lead = 0.0
-        if a_vec is not None:  # cubic term, clustering
-            lead += float(a_vec @ ((b @ b) * b).sum(axis=1)) / n
-        if e_mat is not None:  # linear term, clustering
-            lead += 0.5 / n * float((e_mat * b).sum())
-        if inv_mu_sqrt is not None:  # cubic term, triangles
-            bt = b * inv_mu_sqrt
-            lead += float(((bt @ bt) * bt).sum()) / 6.0
-        if delta_mat is not None:  # linear term, triangles
-            lead += 0.5 * float((delta_mat * b).sum())
-        out[pos, 0] = value
-        out[pos, 1] = lead
-    return out
-
-
 def decomposition_check(
     model: ModelSpec,
     stat_kind: str,
@@ -339,70 +374,33 @@ def decomposition_check(
     _require_valid(model)
     if r_count < 2:
         raise ValueError("need at least two replicates")
+    make_terms = _statistic(stat_kind).terms
     alpha = model.alpha
     regime = REGIME_HALF if alpha == 0.5 else (REGIME_SUB if alpha < 0.5 else REGIME_SUPER)
-    needs_cubic = regime in (REGIME_SUPER, REGIME_HALF)
-    needs_linear = regime in (REGIME_SUB, REGIME_HALF)
-    cap = DECOMP_MAX_N_CUBIC if needs_cubic else DECOMP_MAX_N_LINEAR
+    cap = DECOMP_MAX_N_LINEAR if regime == REGIME_SUB else DECOMP_MAX_N_CUBIC
     if model.n > cap:
         raise ValueError(
             f"decomposition at regime {regime} caps n at {cap}, got {model.n}"
         )
 
-    mu_mat = np.asarray(model.mu_matrix)
-    a_vec = e_mat = delta_mat = inv_mu_sqrt = None
-    degenerate = False
-    if stat_kind == STAT_CLUSTERING:
-        consts = clustering_constants(model)
-        if needs_cubic:
-            a_vec = consts.a
-        if needs_linear:
-            e_mat = consts.e
-            if regime == REGIME_SUB and not np.any(e_mat):
-                degenerate = True
-    elif stat_kind == STAT_TRIANGLES:
-        if needs_cubic:
-            mu = model.mu
-            inv_mu_sqrt = 1.0 / np.sqrt(np.outer(mu, mu))
-        if needs_linear:
-            _, v2 = v_components(model)
-            if v2 == 0.0:
-                if regime == REGIME_SUB:
-                    degenerate = True
-            else:
-                tc = triangle_constants(model)
-                delta_mat = tc.gamma - 0.5 * (tc.eta[:, None] + tc.eta[None, :])
-                np.fill_diagonal(delta_mat, 0.0)
-    else:
-        raise ValueError(f"unknown statistic kind: {stat_kind!r}")
-
-    if degenerate:
-        return DecompositionReport(
-            model=_model_summary(model),
-            stat_kind=stat_kind,
-            regime=regime,
-            r_count=r_count,
-            master_seed=master_seed,
-            degenerate_linear=True,
-            correlation=None,
-            residual_var_fraction=None,
-            values=np.empty(0),
-            leading=np.empty(0),
-        )
-
-    payload = (model, master_seed, stat_kind, mu_mat, a_vec, e_mat, delta_mat, inv_mu_sqrt)
-    table = _map_replicates(_decomp_task, payload, r_count, workers)
-    values, leading = table[:, 0], table[:, 1]
-    corr = float(np.corrcoef(values, leading)[0, 1])
-    resid = values - values.mean() - (leading - leading.mean())
-    residual_fraction = float(resid.var(ddof=1) / values.var(ddof=1))
+    terms = make_terms(model, regime != REGIME_SUB, regime != REGIME_SUPER)
+    degenerate = regime == REGIME_SUB and terms[1] is None
+    values, leading = np.empty(0), np.empty(0)
+    corr = residual_fraction = None
+    if not degenerate:
+        payload = (model, master_seed, stat_kind, terms)
+        table = _map_replicates(_replicate_task, payload, r_count, workers)
+        values, leading = table[:, 0], table[:, 1]
+        corr = float(np.corrcoef(values, leading)[0, 1])
+        resid = values - values.mean() - (leading - leading.mean())
+        residual_fraction = float(resid.var(ddof=1) / values.var(ddof=1))
     return DecompositionReport(
         model=_model_summary(model),
         stat_kind=stat_kind,
         regime=regime,
         r_count=r_count,
         master_seed=master_seed,
-        degenerate_linear=False,
+        degenerate_linear=degenerate,
         correlation=corr,
         residual_var_fraction=residual_fraction,
         values=values,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,20 +49,7 @@ class OracleReport:
     graph_count: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "exact_mean_cc": self.exact_mean_cc,
-                "exact_var_cc": self.exact_var_cc,
-                "exact_mean_t": self.exact_mean_t,
-                "exact_var_t": self.exact_var_t,
-                "exact_et": self.exact_et.tolist(),
-                "exact_a": self.exact_a.tolist(),
-                "graph_count": self.graph_count,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 @lru_cache(maxsize=4)

@@ -259,10 +259,11 @@ def _sigma_generic(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> tuple[flo
 
 @dataclass(frozen=True)
 class TriangleConstants:
-    """Linear-term constants of the weighted triangle sum."""
+    """Linear-term constants of the weighted triangle sum; delta is its coefficient."""
 
     eta: np.ndarray
     gamma: np.ndarray
+    delta: np.ndarray
 
 
 def triangle_constants(model: ModelSpec) -> TriangleConstants:
@@ -274,7 +275,12 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
     scaled = m / mu[None, :]  # scaled_ij = mu_ij / mu_j
     path2 = scaled @ m
     eta = (path2 * scaled).sum(axis=1) / mu**2
-    return TriangleConstants(eta=eta, gamma=gamma)
+    # delta_ij = gamma_ij - (eta_i + eta_j)/2, built in place to hold one n x n temporary
+    delta = np.add.outer(eta, eta)
+    delta *= -0.5
+    delta += gamma
+    np.fill_diagonal(delta, 0.0)
+    return TriangleConstants(eta=eta, gamma=gamma, delta=delta)
 
 
 def v_components(model: ModelSpec) -> tuple[float, float]:
@@ -296,10 +302,7 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
     np.fill_diagonal(f, 0.0)
     g = f / np.outer(mu, mu)
     v1 = float(((g @ g) * g).sum()) / 6.0
-    tc = triangle_constants(model)
-    delta = tc.gamma - 0.5 * (tc.eta[:, None] + tc.eta[None, :])
-    np.fill_diagonal(delta, 0.0)
-    v2 = 0.5 * float((delta**2 * f).sum())
+    v2 = 0.5 * float((triangle_constants(model).delta ** 2 * f).sum())
     return v1, v2
 
 

@@ -1,0 +1,92 @@
+"""Hash the outputs of every `hetclust` command in the README.
+
+Usage: python tests/readme_outputs.py [--extra "hetclust ..."]...
+
+Takes the `hetclust ...` lines of the README's command block, joining
+lines continued with a backslash, and runs them in README order in one
+temporary directory, so that a later command can read an earlier one's
+file.  Each `--extra` command runs after them in the same directory.  For
+every command it prints the first 16 hex digits of the sha256 of its
+stdout, its stderr and every file it wrote or changed.  Two checkouts whose
+listings are equal produce the same bytes for these commands.
+
+The commands run the package under `src/` of the checkout holding this
+script, through `python -m hetclust.cli`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FENCE = "```"
+
+
+def readme_commands(text: str) -> list[str]:
+    """The `hetclust` commands of the first fenced block that holds any."""
+    blocks = text.split(FENCE)[1::2]  # the insides of the fenced blocks
+    for block in blocks:
+        joined = block.replace("\\\n", " ")
+        commands = [
+            " ".join(line.split())
+            for line in joined.splitlines()
+            if line.strip().startswith("hetclust ")
+        ]
+        if commands:
+            return commands
+    return []
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _snapshot(workdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(workdir.iterdir()) if p.is_file()}
+
+
+def run_commands(commands: list[str], workdir: Path) -> list[str]:
+    """Run each command in `workdir`; one listing line per output."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    lines = []
+    for command in commands:
+        argv = shlex.split(command)
+        before = _snapshot(workdir)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetclust.cli", *argv[1:]],
+            cwd=workdir, env=env, capture_output=True,
+        )
+        lines.append(f"$ {command}")
+        lines.append(f"  exit {proc.returncode}")
+        lines.append(f"  stdout {_digest(proc.stdout)}")
+        lines.append(f"  stderr {_digest(proc.stderr)}")
+        for name, data in _snapshot(workdir).items():
+            if before.get(name) != data:
+                lines.append(f"  {name} {_digest(data)}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--extra", action="append", default=[], metavar="COMMAND",
+        help="a further `hetclust ...` command to run after the README's",
+    )
+    args = parser.parse_args(argv)
+    commands = readme_commands((ROOT / "README.md").read_text()) + args.extra
+    with tempfile.TemporaryDirectory(prefix="readme-outputs-") as tmp:
+        for line in run_commands(commands, Path(tmp)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from hetclust.cli import _default_beta, main
+from hetclust.cli import _default_beta, build_parser, main
 from hetclust.experiments import STAT_CLUSTERING, run_mc
 from hetclust.model import DenseWeights, model_from_json
 from hetclust.theory import theoretical_moments
 
 from conftest import er_model
+from readme_outputs import ROOT, readme_commands
 
 
 def write_k4(path):
@@ -155,6 +156,33 @@ def test_phase_subcommand(tmp_path, capsys):
     assert code == 0
     assert out.read_text().splitlines()[0] == "alpha,sigma1_sq,sigma2_sq,ratio,closed_sigma_sq"
     assert "ratio" in stdout
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--c", "2"], "invalid model: beta=2.0 outside (0, 1]; constant weight c=2.0 outside (0, 1]"),
+     (["--c", "nan"], "invalid model: beta=nan outside (0, 1]; constant weight c=nan outside (0, 1]"),
+     (["--c", "0"], "invalid model: beta=0.0 outside (0, 1]; constant weight c=0.0 outside (0, 1]"),
+     (["--n", "2"], "invalid model: node count n=2 must be an integer >= 3")],
+)
+def test_phase_invalid_model_is_one_line_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.csv"
+    argv = ["phase", "--n", "100", "--alphas", "0.1,0.3", *flags, "--out", str(out)]
+    code, stdout, err = run_cli(capsys, argv)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    commands = readme_commands((ROOT / "README.md").read_text())
+    assert [c.split()[1] for c in commands] == [
+        "sample", "stats", "theory", "mc", "phase", "decompose", "oracle"
+    ]
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(command.split()[1:])
 
 
 def test_decompose_subcommand(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from hetclust import experiments
 from hetclust import model as model_module
 from hetclust.experiments import (
     STAT_CLUSTERING,
@@ -101,6 +102,17 @@ def test_run_mc_rejects_bad_args():
         run_mc(m, "degree", 10, master_seed=0)
     with pytest.raises(ValueError):
         run_mc(m, STAT_CLUSTERING, 1, master_seed=0)
+
+
+@pytest.mark.parametrize("check", [run_mc, decomposition_check])
+def test_unknown_statistic_rejected_before_sampling(monkeypatch, check):
+    def no_sampling(*args):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(experiments, "sample_graph", no_sampling)
+    with pytest.raises(ValueError) as err:
+        check(er_model(20, alpha=0.4), "degree", 10, master_seed=0, workers=1)
+    assert str(err.value) == "unknown statistic kind: 'degree'"
 
 
 def test_run_mc_rejects_invalid_model():
@@ -272,6 +284,14 @@ def test_phase_ratio_strictly_increasing():
     assert all(r.ratio > 0 for r in sweep.records)
 
 
+def test_phase_sweep_rejects_invalid_weight():
+    with pytest.raises(ValueError) as err:
+        phase_sweep(100, [0.1, 0.3], weight_c=2.0)
+    assert str(err.value) == (
+        "invalid model: beta=2.0 outside (0, 1]; constant weight c=2.0 outside (0, 1]"
+    )
+
+
 def test_phase_records_carry_closed_forms():
     sweep = phase_sweep(400, [0.3, 0.7])
     rec = sweep.records[0]
@@ -314,6 +334,18 @@ def test_decomposition_half_regime_combines_terms():
     rep = decomposition_check(m, STAT_CLUSTERING, 40, master_seed=14, workers=1)
     assert rep.regime == "half"
     assert rep.correlation is not None
+
+
+@pytest.mark.parametrize("stat", [STAT_CLUSTERING, STAT_TRIANGLES])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_decomposition_worker_pool_matches_single_process(stat, alpha):
+    n = 60
+    m = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, n)))
+    r = 4  # two replicates per worker, so the pool is used
+    rep1 = decomposition_check(m, stat, r, master_seed=31, workers=1)
+    rep2 = decomposition_check(m, stat, r, master_seed=31, workers=2)
+    assert not rep1.degenerate_linear
+    assert rep2 == rep1
 
 
 def test_decomposition_size_caps():
@@ -402,8 +434,11 @@ def test_decomposition_leading_terms_match_literal_loops(alpha, stat, pick):
 
 def test_decomposition_linear_term_rank_one_matches_literal():
     n = 12
-    m = ModelSpec(n=n, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1.0, n)))
-    rep = decomposition_check(m, STAT_TRIANGLES, 3, master_seed=4242, workers=1)
-    for r in range(3):
-        _, linear = _leading_terms_literal(m, 4242, r, STAT_TRIANGLES)
-        assert rep.leading[r] == pytest.approx(linear, rel=1e-10, abs=1e-14)
+    w = RankOneWeights(np.linspace(0.5, 1.0, n))
+    for alpha in (0.3, 0.5):  # the linear term alone, then with the cubic term
+        m = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=w)
+        rep = decomposition_check(m, STAT_TRIANGLES, 3, master_seed=4242, workers=1)
+        for r in range(3):
+            cubic, linear = _leading_terms_literal(m, 4242, r, STAT_TRIANGLES)
+            expect = linear if alpha < 0.5 else cubic + linear
+            assert rep.leading[r] == pytest.approx(expect, rel=1e-10, abs=1e-14)
