@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -109,17 +110,8 @@ def _cmd_theory(args) -> int:
         Path(args.out).write_text(
             theory.moments_to_json(model, moments, include_constants=args.dump_constants)
         )
-    for name in (
-        "sigma1_sq",
-        "sigma2_sq",
-        "sigma_sq",
-        "v1_sq",
-        "v2_sq",
-        "v_sq",
-        "mean_cc_approx",
-        "mean_t_leading",
-    ):
-        print(f"{name} {_fmt(getattr(moments, name))}")
+    for name, value in asdict(moments).items():
+        print(f"{name} {_fmt(value)}")
     return 0
 
 

@@ -137,12 +137,10 @@ def _clustering_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
 
 def _triangle_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
     mu = model.mu
-    # constant weights make delta vanish identically; computed, it holds rounding noise
+    delta = triangle_constants(model).delta if linear else None
     return (
         partial(_cubic_triangles, 1.0 / np.sqrt(np.outer(mu, mu))) if cubic else None,
-        partial(_linear, 0.5, triangle_constants(model).delta)
-        if linear and not model.is_homogeneous
-        else None,
+        partial(_linear, 0.5, delta) if linear and np.any(delta) else None,
     )
 
 
@@ -369,7 +367,9 @@ def decomposition_check(
     below it linear, at the boundary their sum.  If the linear term is
     identically zero (constant weights make gamma_ij == eta_i, so the
     triangle statistic's linear coefficients vanish), the run is flagged
-    degenerate instead of reporting a correlation.
+    degenerate instead of reporting a correlation.  If the statistic or
+    the leading term takes one value in every replicate, the correlation
+    is undefined and the run raises ValueError.
     """
     _require_valid(model)
     if r_count < 2:
@@ -391,6 +391,10 @@ def decomposition_check(
         payload = (model, master_seed, stat_kind, terms)
         table = _map_replicates(_replicate_task, payload, r_count, workers)
         values, leading = table[:, 0], table[:, 1]
+        if values.min() == values.max() or leading.min() == leading.max():
+            raise ValueError(
+                f"the statistic or its leading term takes one value in all {r_count} replicates"
+            )
         corr = float(np.corrcoef(values, leading)[0, 1])
         resid = values - values.mean() - (leading - leading.mean())
         residual_fraction = float(resid.var(ddof=1) / values.var(ddof=1))

@@ -15,9 +15,10 @@ workers.  Its derived values (`mu_matrix`, `mu`, the pair vector and the
 digest `mu_sha1`) are cached on first use and left out of the pickled
 state, so a constant or rank-one model ships to a worker in O(n) and is
 rebuilt there once, and a model is hashed once however many runs report
-it.  Rank-one weights build the pair vector row by row, and constant
-weights need none to sample (every pair has the one probability p*c), so
-a worker that only samples such a model never builds the n x n matrix.
+it.  Rank-one weights build the pair vector row by row; constant weights
+make it a zero-stride view of the one probability p*c, which holds no
+memory per pair.  A worker that only samples such a model never builds
+the n x n matrix.
 Expected degrees mu_i = sum_j mu_ij must exceed 1 for the
 variance theory downstream (several constants divide by (mu_i - 1));
 `validate` flags, rather than forbids, models that violate this.
@@ -182,18 +183,13 @@ class ModelSpec:
         m.flags.writeable = False
         return m
 
-    @property
-    def _constant_mu(self) -> float:
-        """Every pair's probability under constant weights: the float of
-        each off-diagonal entry of `mu_matrix`."""
-        return self.p * float(self.weights.c)
-
     @cached_property
     def _mu_pairs(self) -> np.ndarray:
         n, w = self.n, self.weights
         if isinstance(w, ConstantWeights):
-            v = np.full(n_pairs(n), self._constant_mu)
-        elif isinstance(w, RankOneWeights):
+            # one float, the off-diagonal entry of mu_matrix, read with stride 0
+            return np.broadcast_to(self.p * float(w.c), (n_pairs(n),))
+        if isinstance(w, RankOneWeights):
             # row i holds w_i * w_j for j > i, then times p: the floats of
             # p * outer(w, w), without the n x n matrix
             v = np.empty(n_pairs(n))

@@ -10,10 +10,11 @@ indices give independent edge randomness.
 A replicate reads its stream in blocks of `_BLOCK` pair ranks (2 MiB of
 deviates), keeps the ranks of each block's edges, and decodes only those
 ranks into endpoints; it never holds all n(n-1)/2 uniforms or any
-all-pairs index array.  Constant weights compare each block against the
-one scalar p*c; rank-one and dense weights against the block's slice of
-the model's cached pair vector (`ModelSpec.mu_pairs`, one per model).  A
-stream read in blocks yields the same deviates as one read at once
+all-pairs index array.  Each block is compared against its slice of the
+model's cached pair vector (`ModelSpec.mu_pairs`, one per model); for
+constant weights that vector is a zero-stride view of the one
+probability p*c, so the comparison reads a single float.  A stream read
+in blocks yields the same deviates as one read at once
 (`edge_indicator_stream`), so graphs do not depend on the block size.
 Worker processes receive the model without its cached arrays and rebuild
 what they use once per chunk of replicates.
@@ -131,19 +132,18 @@ def sample_graph(model: ModelSpec, seed: SeedSpec) -> Graph:
 
     The deviates of `edge_indicator_stream` are read `_BLOCK` pair ranks
     at a time into one buffer; each block keeps the ranks whose deviate
-    lies below the pair's probability, which is the scalar p*c for
-    constant weights and the block's slice of `model.mu_pairs()` otherwise.
+    lies below the pair's probability, read from the block's slice of
+    `model.mu_pairs()`.
     """
     total = n_pairs(model.n)
     gen = _philox(seed)
-    mu = model._constant_mu if model.is_homogeneous else model.mu_pairs()
+    mu = model.mu_pairs()
     buf = np.empty(min(_BLOCK, total))
     hits = [np.empty(0, dtype=np.intp)]  # what n < 2 returns: no pairs, no blocks
     for start in range(0, total, _BLOCK):
         u = buf[: min(_BLOCK, total - start)]
         gen.random(out=u)
-        threshold = mu if model.is_homogeneous else mu[start : start + len(u)]
-        hits.append(np.flatnonzero(u < threshold) + start)
+        hits.append(np.flatnonzero(u < mu[start : start + len(u)]) + start)
     ranks = np.concatenate(hits)
     return Graph.from_edges(model.n, *pairs_from_ranks(ranks, model.n))
 

@@ -46,10 +46,11 @@ truncating to {d >= 2} matches the zero-denominator convention of the
 statistic itself and the exponentially small low-degree tail.
 
 All triple sums are evaluated exactly in O(n^3) through matrix products
-(zero diagonals make the coincidence terms vanish identically); constant
-weights take a closed-form fast path that multiplies one representative
-term by the number of triples or pairs.  Asymptotically, for constant
-weights with c = 1,
+(zero diagonals make the coincidence terms vanish identically).  Only
+this module tells constant weights apart: every pair has probability
+p*c, so `sigma_components` and `v_components` each scale one triple and
+pair term by the counts in one closed-form block, delta is exactly 0,
+and the degree law is that of node 0.  Asymptotically, for c = 1,
 
     sigma1_sq -> 6 / n^(3-alpha),   sigma2_sq -> 2 / n^(2+alpha),
 
@@ -186,16 +187,20 @@ class ClusteringConstants:
     et: np.ndarray
 
 
+def _pair_variance(model: ModelSpec) -> np.ndarray:
+    """f_ij = mu_ij (1 - mu_ij), zero diagonal."""
+    m = model.mu_matrix
+    f = m * (1.0 - m)
+    np.fill_diagonal(f, 0.0)
+    return f
+
+
 def clustering_constants(model: ModelSpec) -> ClusteringConstants:
     """All clustering variance constants, as full vectors and matrices."""
     _require_supercritical(model)
-    return _constants_from(model, _a_all(model), expected_ti_all(model))
-
-
-def _constants_from(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> ClusteringConstants:
     m = model.mu_matrix
-    mu = model.mu
-    b = _b_from(et, mu)
+    a, et = _a_all(model), expected_ti_all(model)
+    b = _b_from(et, model.mu)
     c = m @ (a[:, None] * m)
     dsum = m @ m
     e = 2.0 * c + 2.0 * (a[:, None] + a[None, :]) * dsum - b[:, None] - b[None, :]
@@ -205,9 +210,21 @@ def _constants_from(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> Clusteri
     return ClusteringConstants(a=a, b=b, c=c, dsum=dsum, e=e, et=et)
 
 
-def _homog_scalars(model: ModelSpec) -> dict:
-    """Representative per-node/per-pair constants for constant weights."""
+def sigma_components(model: ModelSpec) -> tuple[float, float]:
+    """Exact (sigma1_sq, sigma2_sq) for the average clustering coefficient.
+
+    Constant weights take a closed form: every pair has the probability
+    p*c, so one representative triple and pair term is scaled by the
+    number of triples and pairs.  The same model built with `DenseWeights`
+    takes the generic sums over `clustering_constants`.
+    """
+    _require_supercritical(model)
     n = model.n
+    if not model.is_homogeneous:
+        cc = clustering_constants(model)
+        a, e = cc.a, cc.e
+        del cc  # free c and d before the n x n temporaries of the sums
+        return _sigma_sums(model, a, e)
     mu_pair = model.p * model.weights.c  # type: ignore[union-attr]
     mu = (n - 1) * mu_pair
     a = a_coeff(model, 0)
@@ -216,41 +233,25 @@ def _homog_scalars(model: ModelSpec) -> dict:
     c = (n - 2) * a * mu_pair**2
     dsum = (n - 2) * mu_pair**2
     e = 2.0 * c + 4.0 * a * dsum - 2.0 * b
-    return dict(mu_pair=mu_pair, mu=mu, a=a, et=et, b=b, c=c, dsum=dsum, e=e)
+    f = mu_pair * (1.0 - mu_pair)
+    sigma1 = (4.0 / n**2) * comb(n, 3) * (3.0 * a) ** 2 * f**3
+    sigma2 = (1.0 / n**2) * comb(n, 2) * e**2 * f
+    return sigma1, sigma2
 
 
-def sigma_components(model: ModelSpec) -> tuple[float, float]:
-    """Exact (sigma1_sq, sigma2_sq) for the average clustering coefficient.
-
-    Constant-weight models use the symmetric fast path (one representative
-    triple and pair term scaled by counts); the same model built with
-    `DenseWeights` takes the generic sums.
-    """
-    _require_supercritical(model)
+def _sigma_sums(model: ModelSpec, a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """The triple and pair sums of `sigma_components` over its constants a and e."""
     n = model.n
-    if model.is_homogeneous:
-        s = _homog_scalars(model)
-        f = s["mu_pair"] * (1.0 - s["mu_pair"])
-        sigma1 = (4.0 / n**2) * comb(n, 3) * (3.0 * s["a"]) ** 2 * f**3
-        sigma2 = (1.0 / n**2) * comb(n, 2) * s["e"] ** 2 * f
-        return sigma1, sigma2
-    return _sigma_generic(model, _a_all(model), expected_ti_all(model))
-
-
-def _sigma_generic(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> tuple[float, float]:
-    n = model.n
-    e = _constants_from(model, a, et).e
-    m = model.mu_matrix
-    f = m * (1.0 - m)
-    np.fill_diagonal(f, 0.0)
+    f = _pair_variance(model)
+    sigma2 = (0.5 / n**2) * float((e**2 * f).sum())
     f2 = f @ f
     diag_f3 = (f2 * f).sum(axis=1)
-    triple = 0.5 * float(a**2 @ diag_f3) + float(
-        ((a[:, None] * f) * f2 * a[None, :]).sum()
-    )
-    sigma1 = (4.0 / n**2) * triple
-    sigma2 = (0.5 / n**2) * float((e**2 * f).sum())
-    return sigma1, sigma2
+    # (a_i f_ij) f2_ij a_j, one n x n temporary
+    f *= a[:, None]
+    f *= f2
+    f *= a[None, :]
+    triple = 0.5 * float(a**2 @ diag_f3) + float(f.sum())
+    return (4.0 / n**2) * triple, sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +276,9 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
     scaled = m / mu[None, :]  # scaled_ij = mu_ij / mu_j
     path2 = scaled @ m
     eta = (path2 * scaled).sum(axis=1) / mu**2
+    if model.is_homogeneous:
+        # gamma_ij = eta_i = eta_j in exact arithmetic; computed, they differ by rounding
+        return TriangleConstants(eta=eta, gamma=gamma, delta=np.zeros_like(gamma))
     # delta_ij = gamma_ij - (eta_i + eta_j)/2, built in place to hold one n x n temporary
     delta = np.add.outer(eta, eta)
     delta *= -0.5
@@ -286,8 +290,8 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
 def v_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (v1_sq, v2_sq) for the weighted triangle sum.
 
-    Under constant weights gamma_ij == eta_i identically, so v2_sq is 0
-    exactly and the fast path returns it as such.
+    Under constant weights delta vanishes identically, so v2_sq is 0
+    exactly and the closed form returns it as such.
     """
     n = model.n
     if model.is_homogeneous:
@@ -296,10 +300,8 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
         f = mu_pair * (1.0 - mu_pair)
         v1 = comb(n, 3) * f**3 / mu**6
         return v1, 0.0
-    m = model.mu_matrix
     mu = model.mu
-    f = m * (1.0 - m)
-    np.fill_diagonal(f, 0.0)
+    f = _pair_variance(model)
     g = f / np.outer(mu, mu)
     v1 = float(((g @ g) * g).sum()) / 6.0
     v2 = 0.5 * float((triangle_constants(model).delta ** 2 * f).sum())
@@ -329,8 +331,7 @@ def _mean_cc(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> float:
     mu = model.mu
     term1 = float(et @ a) / n
     g = (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
-    f = m * (1.0 - m)
-    np.fill_diagonal(f, 0.0)
+    f = _pair_variance(model)
     diag_fmm = ((f @ m) * m).sum(axis=1)
     term2 = (2.0 / n) * float(g @ diag_fmm)
     return term1 - term2
@@ -406,10 +407,13 @@ class TheoreticalMoments:
 def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
     _require_valid(model)
     _require_supercritical(model)
-    # the degree law dominates both sigma and the mean: evaluate it once
-    a, et = _a_all(model), expected_ti_all(model)
-    s1, s2 = sigma_components(model) if model.is_homogeneous else _sigma_generic(model, a, et)
+    # v first: its n x n temporaries set the peak, so no clustering constant is alive then
     v1, v2 = v_components(model)
+    if model.is_homogeneous:
+        (s1, s2), mean_cc = sigma_components(model), mean_cc_approx(model)
+    else:
+        cc = clustering_constants(model)  # one degree law (the dominant cost) for both
+        (s1, s2), mean_cc = _sigma_sums(model, cc.a, cc.e), _mean_cc(model, cc.a, cc.et)
     return TheoreticalMoments(
         sigma1_sq=s1,
         sigma2_sq=s2,
@@ -417,7 +421,7 @@ def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
         v1_sq=v1,
         v2_sq=v2,
         v_sq=v1 + v2,
-        mean_cc_approx=_mean_cc(model, a, et),
+        mean_cc_approx=mean_cc,
         mean_t_leading=mean_t_leading(model),
     )
 

@@ -5,7 +5,9 @@ Usage: python tests/readme_outputs.py [--extra "hetclust ..."]...
 Takes the `hetclust ...` lines of the README's command block, joining
 lines continued with a backslash, and runs them in README order in one
 temporary directory, so that a later command can read an earlier one's
-file.  Each `--extra` command runs after them in the same directory.  For
+file.  The README uses constant weights only, so the fixed
+`RANK_ONE_COMMANDS` run next, then each `--extra` command, all in the
+same directory.  For
 every command it prints the first 16 hex digits of the sha256 of its
 stdout, its stderr and every file it wrote or changed.  Two checkouts whose
 listings are equal produce the same bytes for these commands.
@@ -27,6 +29,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FENCE = "```"
+
+# rank-one runs of `theory`, `decompose` and `mc`, whose numbers come from
+# the generic sums rather than the constant-weight closed forms
+RANK_ONE_COMMANDS = [
+    "hetclust theory --n 300 --alpha 0.4 --weights rank1:grid:0.5,1 --dump-constants --out c.json",
+    "hetclust theory --n 200 --alpha 0.3 --weights rank1:grid:0.3,1",
+    "hetclust decompose --n 200 --alpha 0.3 --weights rank1:grid:0.5,1 --stat triangles"
+    " --replicates 200 --seed 2 --out d.csv",
+    "hetclust mc --n 200 --alpha 0.6 --weights rank1:grid:0.5,1 --stat triangles"
+    " --replicates 200 --seed 2 --out r.csv",
+]
 
 
 def readme_commands(text: str) -> list[str]:
@@ -78,10 +91,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--extra", action="append", default=[], metavar="COMMAND",
-        help="a further `hetclust ...` command to run after the README's",
+        help="a further `hetclust ...` command to run after the fixed ones",
     )
     args = parser.parse_args(argv)
-    commands = readme_commands((ROOT / "README.md").read_text()) + args.extra
+    readme = readme_commands((ROOT / "README.md").read_text())
+    commands = readme + RANK_ONE_COMMANDS + args.extra
     with tempfile.TemporaryDirectory(prefix="readme-outputs-") as tmp:
         for line in run_commands(commands, Path(tmp)):
             print(line)

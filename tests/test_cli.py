@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hetclust.model import DenseWeights, model_from_json
 from hetclust.theory import theoretical_moments
 
 from conftest import er_model
-from readme_outputs import ROOT, readme_commands
+from readme_outputs import RANK_ONE_COMMANDS, ROOT, readme_commands
 
 
 def write_k4(path):
@@ -181,7 +182,7 @@ def test_readme_commands_parse():
         "sample", "stats", "theory", "mc", "phase", "decompose", "oracle"
     ]
     parser = build_parser()
-    for command in commands:
+    for command in commands + RANK_ONE_COMMANDS:
         parser.parse_args(command.split()[1:])
 
 
@@ -209,6 +210,26 @@ def test_decompose_subcommand(tmp_path, capsys):
     )
     assert code == 0
     assert "correlation" in stdout
+
+
+def test_decompose_constant_columns_is_one_line_error(tmp_path, capsys):
+    # a subcritical model whose four replicates are all triangle-free: the
+    # statistic and its leading term take one value each, so no correlation
+    out = tmp_path / "x.json"
+    argv = [
+        "decompose", "--n", "20", "--alpha", "0.9", "--weights", "constant:0.5",
+        "--stat", "triangles", "--replicates", "4", "--out", str(out), "--format", "json",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, stdout, err = run_cli(capsys, argv)
+    assert code == 1
+    assert stdout == ""
+    errors = [line for line in err.splitlines() if not line.startswith("warning:")]
+    assert errors == [
+        "error: the statistic or its leading term takes one value in all 4 replicates"
+    ]
+    assert not out.exists()
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -278,7 +278,9 @@ def test_sample_graph_memory_is_one_block_not_all_pairs():
     sample_graph(er_model(10, alpha=0.5), SeedSpec(1))  # warm the code path
     fresh = er_model(4000, alpha=0.7)
     assert traced_peak(lambda: sample_graph(fresh, SeedSpec(1))) < 8 * 2**20
-    assert not {"mu_matrix", "_mu_pairs"} & set(fresh.__dict__)
+    # constant weights: a pair vector that holds one float, and no n x n matrix
+    assert fresh.mu_pairs().strides == (0,)
+    assert "mu_matrix" not in fresh.__dict__
     rank1 = ModelSpec(
         n=4000, alpha=0.7, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 4000))
     )

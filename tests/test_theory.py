@@ -7,6 +7,7 @@ from scipy.stats import binom, poisson_binom
 from hetclust.model import ConstantWeights, DenseWeights, ModelSpec, RankOneWeights
 from hetclust.sampling import SeedSpec, sample_graph
 from hetclust.stats import avg_clustering
+from hetclust import theory
 from hetclust.theory import (
     _TAIL_BUDGET,
     _degree_pmfs,
@@ -338,8 +339,11 @@ def test_eta_rank_one_near_closed_form():
 
 
 def test_v2_zero_under_homogeneity():
-    _, v2 = v_components(er_model(300, alpha=0.5))
+    m = er_model(300, alpha=0.5)
+    _, v2 = v_components(m)
     assert v2 == 0.0
+    # the linear coefficient is zero exactly, not up to rounding
+    assert not np.any(triangle_constants(m).delta)
 
 
 def test_v1_near_closed_form_er():
@@ -503,13 +507,34 @@ def test_sigma1_final_band():
 
 
 def test_theoretical_moments_aggregate(rng):
-    m = random_dense_model(8, rng)
-    mom = theoretical_moments(m)
-    s1, s2 = sigma_components(m)
-    v1, v2 = v_components(m)
-    assert mom.sigma_sq == s1 + s2
-    assert mom.v_sq == v1 + v2
-    assert mom.sigma1_sq == s1 and mom.v2_sq == v2
+    dense = random_dense_model(8, rng)
+    rank1 = ModelSpec(n=40, alpha=0.3, beta=0.5, weights=RankOneWeights(rng.uniform(0.5, 1, 40)))
+    for m in (dense, rank1, er_model(40, alpha=0.4)):
+        mom = theoretical_moments(m)
+        s1, s2 = sigma_components(m)
+        v1, v2 = v_components(m)
+        assert mom.sigma_sq == s1 + s2
+        assert mom.v_sq == v1 + v2
+        assert mom.sigma1_sq == s1 and mom.sigma2_sq == s2 and mom.v2_sq == v2
+        assert mom.mean_cc_approx == mean_cc_approx(m)
+
+
+def test_theoretical_moments_evaluates_degree_law_once(rng, monkeypatch):
+    rows = []
+
+    def counting(block, k):
+        rows.append(block.shape[0])
+        return _degree_pmfs(block, k)
+
+    monkeypatch.setattr(theory, "_degree_pmfs", counting)
+    rank1 = ModelSpec(n=50, alpha=0.3, beta=0.5, weights=RankOneWeights(rng.uniform(0.5, 1, 50)))
+    for m in (rank1, random_dense_model(10, rng)):
+        rows.clear()
+        theoretical_moments(m)
+        assert rows == [m.n]  # one all-rows convolution serves sigma and the mean
+    rows.clear()
+    theoretical_moments(er_model(50, alpha=0.3))
+    assert rows and set(rows) == {1}  # constant weights read node 0 only
 
 
 def test_theoretical_moments_rejects_invalid_model():
