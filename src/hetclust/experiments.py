@@ -31,11 +31,11 @@ from .model import ConstantWeights, ModelSpec, _require_valid
 from .sampling import SeedSpec, sample_graph
 from .stats import avg_clustering, weighted_triangle_sum
 from .theory import (
+    _nonzero_delta,
     clustering_constants,
     sigma_closed_forms,
     mean_cc_approx,
     sigma_components,
-    triangle_constants,
     v_components,
 )
 
@@ -137,10 +137,10 @@ def _clustering_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
 
 def _triangle_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
     mu = model.mu
-    delta = triangle_constants(model).delta if linear else None
+    delta = _nonzero_delta(model) if linear else None
     return (
         partial(_cubic_triangles, 1.0 / np.sqrt(np.outer(mu, mu))) if cubic else None,
-        partial(_linear, 0.5, delta) if linear and np.any(delta) else None,
+        partial(_linear, 0.5, delta) if delta is not None else None,
     )
 
 

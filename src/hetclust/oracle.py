@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 MAX_ENUM_N = 7
-_LOG_SPACE_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -113,9 +112,6 @@ def graph_from_code(n: int, code: int) -> Graph:
 
 
 def _graph_probabilities(bits: np.ndarray, mu_vec: np.ndarray) -> np.ndarray:
-    if mu_vec.min() < _LOG_SPACE_THRESHOLD:
-        logp = bits * np.log(mu_vec)[None, :] + (1 - bits) * np.log1p(-mu_vec)[None, :]
-        return np.exp(logp.sum(axis=1))
     factors = bits * mu_vec[None, :] + (1 - bits) * (1.0 - mu_vec)[None, :]
     return factors.prod(axis=1)
 

@@ -287,6 +287,15 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
     return TriangleConstants(eta=eta, gamma=gamma, delta=delta)
 
 
+def _nonzero_delta(model: ModelSpec) -> np.ndarray | None:
+    """delta of `triangle_constants`, or None where it is identically zero;
+    under constant weights that is known without building anything."""
+    if model.is_homogeneous:
+        return None
+    delta = triangle_constants(model).delta
+    return delta if np.any(delta) else None
+
+
 def v_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (v1_sq, v2_sq) for the weighted triangle sum.
 

@@ -6,10 +6,10 @@ Takes the `hetclust ...` lines of the README's command block, joining
 lines continued with a backslash, and runs them in README order in one
 temporary directory, so that a later command can read an earlier one's
 file.  The README uses constant weights only, so the fixed
-`RANK_ONE_COMMANDS` run next, then each `--extra` command, all in the
-same directory.  For
-every command it prints the first 16 hex digits of the sha256 of its
-stdout, its stderr and every file it wrote or changed.  Two checkouts whose
+`RANK_ONE_COMMANDS` run next, then the fixed `KERNEL_COMMANDS`, then each
+`--extra` command, all in the same directory.  For every command it
+prints the first 16 hex digits of the sha256 of its stdout, its stderr
+and every file it wrote or changed.  Two checkouts whose
 listings are equal produce the same bytes for these commands.
 
 The commands run the package under `src/` of the checkout holding this
@@ -39,6 +39,16 @@ RANK_ONE_COMMANDS = [
     " --replicates 200 --seed 2 --out d.csv",
     "hetclust mc --n 200 --alpha 0.6 --weights rank1:grid:0.5,1 --stat triangles"
     " --replicates 200 --seed 2 --out r.csv",
+]
+
+# `sample` and `stats` on a graph each statistic reads through its dense
+# per-edge sum kernel (n=1000, fill 25%) and on one read through the sparse
+# kernel (n=2000, fill 0.5%)
+KERNEL_COMMANDS = [
+    "hetclust sample --n 1000 --alpha 0.2 --weights constant:1.0 --seed 7 --out dense.txt",
+    "hetclust stats dense.txt",
+    "hetclust sample --n 2000 --alpha 0.7 --weights constant:1.0 --seed 7 --out sparse.txt",
+    "hetclust stats sparse.txt",
 ]
 
 
@@ -95,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     readme = readme_commands((ROOT / "README.md").read_text())
-    commands = readme + RANK_ONE_COMMANDS + args.extra
+    commands = readme + RANK_ONE_COMMANDS + KERNEL_COMMANDS + args.extra
     with tempfile.TemporaryDirectory(prefix="readme-outputs-") as tmp:
         for line in run_commands(commands, Path(tmp)):
             print(line)

@@ -10,7 +10,7 @@ from hetclust.model import DenseWeights, model_from_json
 from hetclust.theory import theoretical_moments
 
 from conftest import er_model
-from readme_outputs import RANK_ONE_COMMANDS, ROOT, readme_commands
+from readme_outputs import KERNEL_COMMANDS, RANK_ONE_COMMANDS, ROOT, readme_commands
 
 
 def write_k4(path):
@@ -182,7 +182,7 @@ def test_readme_commands_parse():
         "sample", "stats", "theory", "mc", "phase", "decompose", "oracle"
     ]
     parser = build_parser()
-    for command in commands + RANK_ONE_COMMANDS:
+    for command in commands + RANK_ONE_COMMANDS + KERNEL_COMMANDS:
         parser.parse_args(command.split()[1:])
 
 

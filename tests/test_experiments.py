@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from hetclust import experiments
 from hetclust import model as model_module
+from hetclust import theory as theory_module
 from hetclust.experiments import (
     STAT_CLUSTERING,
     STAT_TRIANGLES,
@@ -311,6 +312,22 @@ def test_decomposition_degenerate_for_homogeneous_triangles():
     assert rep.degenerate_linear
     assert rep.correlation is None
     assert rep.regime == "sub_half"
+
+
+@pytest.mark.parametrize("alpha, degenerate", [(0.3, True), (0.5, False)])
+def test_constant_weight_triangle_decomposition_builds_no_triangle_constants(
+    alpha, degenerate, monkeypatch
+):
+    # constant weights: delta is known to vanish without its n x n products,
+    # so triangle_constants runs under no name it is bound to;
+    # at alpha = 1/2 the cubic term alone is the leading term
+    def no_constants(model):
+        raise AssertionError("triangle_constants built")
+
+    monkeypatch.setattr(theory_module, "triangle_constants", no_constants)
+    monkeypatch.setattr(experiments, "triangle_constants", no_constants, raising=False)
+    rep = decomposition_check(er_model(40, alpha=alpha), STAT_TRIANGLES, 50, master_seed=8, workers=1)
+    assert rep.degenerate_linear is degenerate
 
 
 def test_decomposition_rank_one_not_degenerate():

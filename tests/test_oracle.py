@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ def test_log_space_branch_matches_direct():
     pr = _graph_probabilities(bits, mu_small)
     assert abs(pr.sum() - 1.0) < 1e-12
     assert pr[0] == pytest.approx((1 - 5e-4) ** 6, rel=1e-12)
+
+
+def test_probabilities_match_exact_rational_product_at_small_mu(rng):
+    from hetclust.oracle import _graph_probabilities
+
+    # the product of the floats each graph multiplies, in exact arithmetic
+    bits, *_ = enumeration_tables(5)
+    mu_vec = 1e-6 * rng.uniform(0.5, 1.0, size=n_pairs(5))
+    pr = _graph_probabilities(bits, mu_vec)
+    present = [Fraction(x) for x in mu_vec]
+    absent = [Fraction(x) for x in 1.0 - mu_vec]
+    for row, p in zip(bits, pr):
+        exact = math.prod(yes if bit else no for bit, yes, no in zip(row, present, absent))
+        assert abs(Fraction(p) - exact) <= Fraction(2e-15) * exact
 
 
 def test_rejects_large_n():

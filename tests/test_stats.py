@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -22,10 +23,7 @@ from hetclust.stats import (
     _DENSE_MIN_FILL,
     _MAX_DEGREE,
     _WEIGHTED_DENSE_MIN_FILL,
-    _takes_dense_kernel,
-    _takes_dense_weighted_kernel,
-    _triangle_counts_dense,
-    _triangle_counts_sparse,
+    _takes_dense,
     avg_clustering,
     triangle_profile,
     weighted_triangle_sum,
@@ -154,14 +152,25 @@ def test_statistics_on_empty_graph():
 
 
 # ---------------------------------------------------------------------------
-# the two triangle-count kernels
+# triangle counts from the two per-edge sum kernels
 
 
 def kernel_counts(g: Graph) -> np.ndarray:
-    """t from both kernels, asserted equal; also what the profile reports."""
-    t = _triangle_counts_sparse(g)
+    """t from the sparse, then the dense kernel, each in chunks or blocks of
+    its own size and of a few rows, asserted equal; also what the profile
+    reports."""
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        for fill in (math.inf, 0.0):
+            mp.setattr(stats, "_DENSE_MIN_FILL", fill)
+            assert _takes_dense(g, stats._DENSE_MIN_FILL) is (fill == 0.0)
+            for block_floats in (_BLOCK_FLOATS, 2 * g.n):
+                mp.setattr(stats, "_BLOCK_FLOATS", block_floats)
+                counts.append(triangle_profile(g).t)
+    t = counts[0]
     assert t.dtype == np.int64
-    assert np.array_equal(_triangle_counts_dense(g), t)
+    for other in counts[1:]:
+        assert np.array_equal(other, t)
     assert np.array_equal(triangle_profile(g).t, t)
     return t
 
@@ -191,7 +200,7 @@ def test_kernels_agree_on_every_graph_n4_n5():
 @pytest.mark.parametrize("alpha, dense", [(0.7, False), (0.3, True)])
 def test_kernels_agree_with_networkx_n2000(alpha, dense):
     g = sample_graph(er_model(2000, alpha=alpha), SeedSpec(29, 0))
-    assert _takes_dense_kernel(g) is dense
+    assert _takes_dense(g, _DENSE_MIN_FILL) is dense
     assert np.array_equal(kernel_counts(g), networkx_counts(g))
 
 
@@ -200,8 +209,8 @@ def test_kernel_switch_point():
     # the fewest edges whose fill 2m / (n(n-1)) reaches the cutoff
     m_switch = math.ceil(_DENSE_MIN_FILL * n_pairs(n))
     below, above = graph_with_edges(n, m_switch - 1, 1), graph_with_edges(n, m_switch, 2)
-    assert not _takes_dense_kernel(below)
-    assert _takes_dense_kernel(above)
+    assert not _takes_dense(below, _DENSE_MIN_FILL)
+    assert _takes_dense(above, _DENSE_MIN_FILL)
     for g in (below, above):
         assert np.array_equal(kernel_counts(g), networkx_counts(g))
 
@@ -209,17 +218,64 @@ def test_kernel_switch_point():
 def test_dense_kernel_size_cap():
     # fill above the cutoff on both sides of the cap: only n decides
     m = math.ceil(_DENSE_MIN_FILL * n_pairs(_DENSE_MAX_N + 1))
-    assert _takes_dense_kernel(graph_with_edges(_DENSE_MAX_N, m, 3))
-    assert not _takes_dense_kernel(graph_with_edges(_DENSE_MAX_N + 1, m, 3))
+    assert _takes_dense(graph_with_edges(_DENSE_MAX_N, m, 3), _DENSE_MIN_FILL)
+    assert not _takes_dense(graph_with_edges(_DENSE_MAX_N + 1, m, 3), _DENSE_MIN_FILL)
 
 
 def test_avg_clustering_identical_under_either_kernel(monkeypatch):
     g = sample_graph(er_model(1000, alpha=0.2), SeedSpec(5, 0))
-    assert _takes_dense_kernel(g)
+    assert _takes_dense(g, stats._DENSE_MIN_FILL)
     dense_value = avg_clustering(g)
     monkeypatch.setattr(stats, "_DENSE_MIN_FILL", math.inf)
-    assert not _takes_dense_kernel(g)
+    assert not _takes_dense(g, stats._DENSE_MIN_FILL)
     assert avg_clustering(g) == dense_value
+
+
+def test_dense_counts_hold_one_copy_of_the_adjacency():
+    # the dense kernel forms only the upper triangle of A @ A, in blocks of
+    # _BLOCK_FLOATS entries: no second n x n float32 array
+    n = 2000
+    g = sample_graph(er_model(n, alpha=0.3), SeedSpec(29, 0))
+    assert _takes_dense(g, _DENSE_MIN_FILL)
+    g.degrees  # cached before tracing
+    tracemalloc.start()
+    try:
+        avg_clustering(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 copy of A, plus the edge lists and one block
+    assert peak < 1.5 * n * n * 4
+
+
+@pytest.mark.parametrize("fill", [0.0, math.inf])
+def test_statistics_on_graphs_with_few_nodes_or_no_edges(fill, monkeypatch):
+    monkeypatch.setattr(stats, "_DENSE_MIN_FILL", fill)
+    monkeypatch.setattr(stats, "_WEIGHTED_DENSE_MIN_FILL", fill)
+    none = np.array([], dtype=np.int64)
+    edge = (np.array([0]), np.array([1]))
+    graphs = [
+        Graph.from_edges(1, none, none),
+        Graph.from_edges(2, none, none),
+        Graph.from_edges(2, *edge),
+        Graph.from_edges(5, none, none),
+        Graph.from_edges(5, *edge),
+    ]
+    for g in graphs:
+        assert _takes_dense(g, fill) is (fill == 0.0)
+        prof = triangle_profile(g)
+        assert prof.t.dtype == np.int64
+        assert prof.t.tolist() == [0] * g.n
+        assert avg_clustering(g) == 0.0
+        assert weighted_triangle_sum(g) == 0.0
+    # no nodes: the mean over nodes is numpy's mean of an empty array
+    g = Graph.from_edges(0, none, none)
+    assert _takes_dense(g, fill) is (fill == 0.0)
+    assert triangle_profile(g).t.dtype == np.int64
+    assert triangle_profile(g).t.tolist() == []
+    with pytest.warns(RuntimeWarning):
+        assert math.isnan(avg_clustering(g))
+    assert weighted_triangle_sum(g) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +288,7 @@ def weighted_by_kernel(g: Graph, monkeypatch) -> list[float]:
     values = []
     for fill in (0.0, math.inf):
         monkeypatch.setattr(stats, "_WEIGHTED_DENSE_MIN_FILL", fill)
-        assert _takes_dense_weighted_kernel(g) is (fill == 0.0)
+        assert _takes_dense(g, stats._WEIGHTED_DENSE_MIN_FILL) is (fill == 0.0)
         for block_floats in (_BLOCK_FLOATS, 6 * g.n):
             monkeypatch.setattr(stats, "_BLOCK_FLOATS", block_floats)
             values.append(weighted_triangle_sum(g))
@@ -278,8 +334,8 @@ def test_weighted_kernel_switch_point(monkeypatch):
     n = 300
     m_switch = math.ceil(_WEIGHTED_DENSE_MIN_FILL * n_pairs(n))
     below, above = graph_with_edges(n, m_switch - 1, 4), graph_with_edges(n, m_switch, 5)
-    assert not _takes_dense_weighted_kernel(below)
-    assert _takes_dense_weighted_kernel(above)
+    assert not _takes_dense(below, _WEIGHTED_DENSE_MIN_FILL)
+    assert _takes_dense(above, _WEIGHTED_DENSE_MIN_FILL)
     for g in (below, above):
         exact = reference.weighted_triangle_sum_exact(g.adjacency_dense())
         assert weighted_triangle_sum(g) == exact
@@ -303,7 +359,7 @@ def test_weighted_sum_same_bytes_under_one_and_two_blas_threads():
         "from hetclust.sampling import SeedSpec, sample_graph\n"
         "m = ModelSpec(n=1000, alpha=0.2, beta=1.0, weights=ConstantWeights(1.0))\n"
         "g = sample_graph(m, SeedSpec(5, 0))\n"
-        "assert stats._takes_dense_weighted_kernel(g)\n"
+        "assert stats._takes_dense(g, stats._WEIGHTED_DENSE_MIN_FILL)\n"
         "split = stats._split_inverse_degrees(g.degrees.astype(float))\n"
         "q = stats._edge_sums_dense(g, *split)[2]\n"
         "print(hashlib.sha256(q.tobytes()).hexdigest())\n"
