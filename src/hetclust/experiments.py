@@ -16,11 +16,13 @@ reported in units of the theoretical standard deviation.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
 from dataclasses import dataclass, fields, is_dataclass
-from functools import partial
+from fractions import Fraction
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -28,9 +30,16 @@ import numpy as np
 from scipy.special import ndtr
 
 from .model import ConstantWeights, ModelSpec, _require_valid
-from .sampling import SeedSpec, sample_graph
-from .stats import avg_clustering, weighted_triangle_sum
+from .sampling import Graph, SeedSpec, sample_graph
+from .stats import (
+    NodeTriangleProfile,
+    _mean_local_clustering,
+    triangle_profile,
+    weighted_triangle_sum,
+)
 from .theory import (
+    _constant_clustering_scalars,
+    _constant_pair,
     _nonzero_delta,
     clustering_constants,
     sigma_closed_forms,
@@ -59,10 +68,21 @@ STAT_TRIANGLES = "weighted_triangles"
 
 WORKERS_ENV = "HETCLUST_WORKERS"
 
-# per-replicate leading-term evaluation is O(n^3) when the cubic term is
-# involved; caps keep a decomposition run at desk timescales
+# Rank-one and dense weights evaluate the leading terms on the dense n x n
+# B = A - mu_matrix of every replicate, the cubic ones through an O(n^3)
+# product; the caps keep such a run at desk timescales.  Constant weights take
+# exact terms from the graph's counts and have no cap.
 DECOMP_MAX_N_CUBIC = 300
 DECOMP_MAX_N_LINEAR = 2000
+
+# the `set` counterparts of the thread-count symbols of the OpenBLAS builds
+# that numpy and scipy load, by the names those builds export
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+)
 
 
 def ks_distance(sample: Sequence[float]) -> float:
@@ -94,40 +114,123 @@ def _worker_count(explicit: int | None = None) -> int:
     return count
 
 
+def _set_blas_threads(threads: int) -> None:
+    """Set every OpenBLAS loaded in this process to `threads` threads; a no-op
+    where none is loaded or the process's memory map cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if os.path.isabs(p)):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_SET_THREADS:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(threads)
+                break
+
+
 def _map_replicates(task, payload, r_count: int, workers: int | None):
-    """Evaluate `task(payload, indices)` over all replicates, in order."""
+    """Evaluate `task(payload, indices)` over all replicates, in order.
+
+    Each worker process runs its BLAS on its share of the CPUs, so workers
+    times BLAS threads does not exceed them; in one process the caller's
+    BLAS setting holds.
+    """
     w = _worker_count(workers)
     indices = np.arange(r_count)
     if w <= 1 or r_count < 2 * w:
         return task(payload, indices)
     from concurrent.futures import ProcessPoolExecutor
 
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = max(1, (cpus or 1) // w)
     chunks = np.array_split(indices, w)
-    with ProcessPoolExecutor(max_workers=w) as pool:
+    with ProcessPoolExecutor(
+        max_workers=w, initializer=_set_blas_threads, initargs=(threads,)
+    ) as pool:
         parts = list(pool.map(task, [payload] * len(chunks), chunks))
     return np.concatenate(parts, axis=0)
 
 
-# Leading terms as functions of the centered adjacency b = A - mu_matrix, with
-# their coefficients bound first by `partial`, so that workers can unpickle them.
+class _Replicate:
+    """One sampled graph and what its statistic and leading terms read of it,
+    each computed at most once."""
+
+    def __init__(self, model: ModelSpec, graph: Graph):
+        self.model, self.graph = model, graph
+
+    @cached_property
+    def profile(self) -> NodeTriangleProfile:
+        return triangle_profile(self.graph)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """The centered adjacency A - mu_matrix, dense."""
+        return self.graph.adjacency_dense() - self.model.mu_matrix
+
+    def trace_b3(self, mu: Fraction) -> Fraction:
+        """tr(B^3) of B = A - mu (J - I), exactly, from the triangle count
+        6T = sum t_i, the sum of squared degrees and 2m."""
+        n, d = self.graph.n, self.graph.degrees
+        six_t, sum_d2, two_m = int(self.profile.t.sum()), int(d @ d), int(d.sum())
+        return (
+            six_t
+            - 3 * mu * (sum_d2 - two_m)
+            + 3 * mu**2 * (n - 2) * two_m
+            - mu**3 * n * (n - 1) * (n - 2)
+        )
 
 
-def _cubic_clustering(a, b) -> float:
+# Leading terms as functions of a replicate, with their coefficients bound
+# first by `partial`, so that workers can unpickle them.  Rank-one and dense
+# weights read the replicate's dense b; constant weights make M = mu (J - I),
+# so each term is a rational in the graph's counts, returned as an exact
+# Fraction that the replicate task rounds once.
+
+
+def _cubic_clustering(a, rep) -> float:
     """(2/n) sum_{i<j<k} (a_i + a_j + a_k) b_ij b_ik b_jk"""
+    b = rep.b
     return float(a @ ((b @ b) * b).sum(axis=1)) / len(a)
 
 
-def _cubic_triangles(inv_mu_sqrt, b) -> float:
+def _cubic_triangles(inv_mu_sqrt, rep) -> float:
     """sum_{i<j<k} b_ij b_jk b_ki / (mu_i mu_j mu_k), inv_mu_sqrt_ij = 1/sqrt(mu_i mu_j)"""
-    bt = b * inv_mu_sqrt
+    bt = rep.b * inv_mu_sqrt
     return float(((bt @ bt) * bt).sum()) / 6.0
 
 
-def _linear(scale, coef, b) -> float:
-    return scale * float((coef * b).sum())
+def _linear(scale, coef, rep) -> float:
+    return scale * float((coef * rep.b).sum())
+
+
+def _cubic_clustering_constant(a: Fraction, mu: Fraction, rep) -> Fraction:
+    """(2/n) sum_{i<j<k} 3a b_ij b_ik b_jk = (a/n) tr(B^3)"""
+    return a * rep.trace_b3(mu) / rep.graph.n
+
+
+def _cubic_triangles_constant(mu: Fraction, rep) -> Fraction:
+    """sum_{i<j<k} b_ij b_jk b_ki / mu_bar^3 = tr(B^3) / (6 mu_bar^3), mu_bar = (n-1) mu"""
+    return rep.trace_b3(mu) / (6 * ((rep.graph.n - 1) * mu) ** 3)
+
+
+def _linear_clustering_constant(e: Fraction, mu: Fraction, rep) -> Fraction:
+    """(1/n) sum_{i<j} e b_ij = e (2m - mu n (n-1)) / (2n)"""
+    n = rep.graph.n
+    return e * (int(rep.graph.degrees.sum()) - mu * n * (n - 1)) / (2 * n)
 
 
 def _clustering_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
+    scalars = _constant_clustering_scalars(model)
+    if scalars is not None:
+        mu, a, e = map(Fraction, scalars)
+        return (
+            partial(_cubic_clustering_constant, a, mu) if cubic else None,
+            partial(_linear_clustering_constant, e, mu) if linear and e else None,
+        )
     consts = clustering_constants(model)
     return (
         partial(_cubic_clustering, consts.a) if cubic else None,
@@ -136,16 +239,20 @@ def _clustering_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
 
 
 def _triangle_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
-    mu = model.mu
+    mu_pair = _constant_pair(model)
     delta = _nonzero_delta(model) if linear else None
-    return (
-        partial(_cubic_triangles, 1.0 / np.sqrt(np.outer(mu, mu))) if cubic else None,
-        partial(_linear, 0.5, delta) if delta is not None else None,
-    )
+    if not cubic:
+        cubic_term = None
+    elif mu_pair is not None:
+        cubic_term = partial(_cubic_triangles_constant, Fraction(mu_pair))
+    else:
+        mu = model.mu
+        cubic_term = partial(_cubic_triangles, 1.0 / np.sqrt(np.outer(mu, mu)))
+    return cubic_term, partial(_linear, 0.5, delta) if delta is not None else None
 
 
 class _Statistic(NamedTuple):
-    value: Callable  # graph -> statistic
+    value: Callable  # replicate -> statistic
     components: Callable  # model -> exact (cubic, linear) variance components
     # (model, cubic wanted, linear wanted) -> (cubic, linear) leading terms,
     # each None where not wanted or identically zero
@@ -153,8 +260,12 @@ class _Statistic(NamedTuple):
 
 
 _STATISTICS = {
-    STAT_CLUSTERING: _Statistic(avg_clustering, sigma_components, _clustering_terms),
-    STAT_TRIANGLES: _Statistic(weighted_triangle_sum, v_components, _triangle_terms),
+    STAT_CLUSTERING: _Statistic(
+        lambda rep: _mean_local_clustering(rep.profile), sigma_components, _clustering_terms
+    ),
+    STAT_TRIANGLES: _Statistic(
+        lambda rep: weighted_triangle_sum(rep.graph), v_components, _triangle_terms
+    ),
 }
 
 
@@ -172,15 +283,13 @@ def _replicate_task(payload, indices) -> np.ndarray:
     value = _statistic(stat_kind).value
     rows = []
     for r in indices:
-        g = sample_graph(model, SeedSpec(master_seed, int(r)))
+        rep = _Replicate(model, sample_graph(model, SeedSpec(master_seed, int(r))))
         if terms is None:
-            rows.append(value(g))
+            rows.append(value(rep))
             continue
-        b = g.adjacency_dense() - model.mu_matrix
-        lead = 0.0
-        for term in filter(None, terms):
-            lead += term(b)
-        rows.append((value(g), lead))
+        # exact terms add up as Fractions and round once; float terms as floats
+        lead = sum(term(rep) for term in filter(None, terms))
+        rows.append((value(rep), float(lead)))
     return np.array(rows)
 
 
@@ -370,6 +479,12 @@ def decomposition_check(
     degenerate instead of reporting a correlation.  If the statistic or
     the leading term takes one value in every replicate, the correlation
     is undefined and the run raises ValueError.
+
+    Under constant weights each term is the correctly rounded value of its
+    defining sum, computed exactly from the graph's triangle count, sum of
+    squared degrees and edge count, at any n.  Other weights evaluate the
+    terms on the dense B = A - mu_matrix, within `DECOMP_MAX_N_CUBIC` or
+    `DECOMP_MAX_N_LINEAR` nodes.
     """
     _require_valid(model)
     if r_count < 2:
@@ -378,7 +493,7 @@ def decomposition_check(
     alpha = model.alpha
     regime = REGIME_HALF if alpha == 0.5 else (REGIME_SUB if alpha < 0.5 else REGIME_SUPER)
     cap = DECOMP_MAX_N_LINEAR if regime == REGIME_SUB else DECOMP_MAX_N_CUBIC
-    if model.n > cap:
+    if model.n > cap and _constant_pair(model) is None:
         raise ValueError(
             f"decomposition at regime {regime} caps n at {cap}, got {model.n}"
         )

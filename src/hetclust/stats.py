@@ -181,8 +181,14 @@ def triangle_profile(graph: Graph) -> NodeTriangleProfile:
 
 
 def avg_clustering(graph: Graph) -> float:
-    """Mean local clustering over all nodes, in [0, 1]."""
-    profile = triangle_profile(graph)
+    """Mean local clustering over all nodes, in [0, 1].  Raises ValueError
+    on a graph with no nodes, where the mean is undefined."""
+    if graph.n == 0:
+        raise ValueError("average clustering is undefined on a graph with no nodes")
+    return _mean_local_clustering(triangle_profile(graph))
+
+
+def _mean_local_clustering(profile: NodeTriangleProfile) -> float:
     d = profile.d
     denom = d * (d - 1)
     safe = np.where(denom > 0, denom, 1)

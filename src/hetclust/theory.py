@@ -50,7 +50,9 @@ All triple sums are evaluated exactly in O(n^3) through matrix products
 this module tells constant weights apart: every pair has probability
 p*c, so `sigma_components` and `v_components` each scale one triple and
 pair term by the counts in one closed-form block, delta is exactly 0,
-and the degree law is that of node 0.  Asymptotically, for c = 1,
+and the degree law is that of node 0.  `_constant_pair` and
+`_constant_clustering_scalars` hand those scalars (p*c, a and e) to the
+decomposition's exact leading terms.  Asymptotically, for c = 1,
 
     sigma1_sq -> 6 / n^(3-alpha),   sigma2_sq -> 2 / n^(2+alpha),
 
@@ -210,6 +212,32 @@ def clustering_constants(model: ModelSpec) -> ClusteringConstants:
     return ClusteringConstants(a=a, b=b, c=c, dsum=dsum, e=e, et=et)
 
 
+def _constant_pair(model: ModelSpec) -> float | None:
+    """The pair probability p*c that every pair has under constant weights,
+    the float of each off-diagonal entry of `mu_matrix`; None for other weights."""
+    if not model.is_homogeneous:
+        return None
+    return model.p * float(model.weights.c)  # type: ignore[union-attr]
+
+
+def _constant_clustering_scalars(model: ModelSpec) -> tuple[float, float, float] | None:
+    """(mu_pair, a, e) under constant weights, where every pair has the
+    probability mu_pair, every node the constant a and every pair the
+    constant e of `clustering_constants`; None for other weights."""
+    mu_pair = _constant_pair(model)
+    if mu_pair is None:
+        return None
+    _require_supercritical(model)
+    n = model.n
+    mu = (n - 1) * mu_pair
+    a = a_coeff(model, 0)
+    et = (n - 1) * (n - 2) * mu_pair**3
+    b = float(_b_from(np.array([et]), np.array([mu]))[0])
+    c = (n - 2) * a * mu_pair**2
+    dsum = (n - 2) * mu_pair**2
+    return mu_pair, a, 2.0 * c + 4.0 * a * dsum - 2.0 * b
+
+
 def sigma_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (sigma1_sq, sigma2_sq) for the average clustering coefficient.
 
@@ -220,19 +248,13 @@ def sigma_components(model: ModelSpec) -> tuple[float, float]:
     """
     _require_supercritical(model)
     n = model.n
-    if not model.is_homogeneous:
+    scalars = _constant_clustering_scalars(model)
+    if scalars is None:
         cc = clustering_constants(model)
         a, e = cc.a, cc.e
         del cc  # free c and d before the n x n temporaries of the sums
         return _sigma_sums(model, a, e)
-    mu_pair = model.p * model.weights.c  # type: ignore[union-attr]
-    mu = (n - 1) * mu_pair
-    a = a_coeff(model, 0)
-    et = (n - 1) * (n - 2) * mu_pair**3
-    b = float(_b_from(np.array([et]), np.array([mu]))[0])
-    c = (n - 2) * a * mu_pair**2
-    dsum = (n - 2) * mu_pair**2
-    e = 2.0 * c + 4.0 * a * dsum - 2.0 * b
+    mu_pair, a, e = scalars
     f = mu_pair * (1.0 - mu_pair)
     sigma1 = (4.0 / n**2) * comb(n, 3) * (3.0 * a) ** 2 * f**3
     sigma2 = (1.0 / n**2) * comb(n, 2) * e**2 * f
@@ -303,8 +325,8 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
     exactly and the closed form returns it as such.
     """
     n = model.n
-    if model.is_homogeneous:
-        mu_pair = model.p * model.weights.c  # type: ignore[union-attr]
+    mu_pair = _constant_pair(model)
+    if mu_pair is not None:
         mu = (n - 1) * mu_pair
         f = mu_pair * (1.0 - mu_pair)
         v1 = comb(n, 3) * f**3 / mu**6

@@ -6,8 +6,9 @@ Takes the `hetclust ...` lines of the README's command block, joining
 lines continued with a backslash, and runs them in README order in one
 temporary directory, so that a later command can read an earlier one's
 file.  The README uses constant weights only, so the fixed
-`RANK_ONE_COMMANDS` run next, then the fixed `KERNEL_COMMANDS`, then each
-`--extra` command, all in the same directory.  For every command it
+`RANK_ONE_COMMANDS` run next, then the fixed `KERNEL_COMMANDS` and
+`DECOMPOSE_COMMANDS`, then each `--extra` command, all in the same
+directory.  For every command it
 prints the first 16 hex digits of the sha256 of its stdout, its stderr
 and every file it wrote or changed.  Two checkouts whose
 listings are equal produce the same bytes for these commands.
@@ -49,6 +50,21 @@ KERNEL_COMMANDS = [
     "hetclust stats dense.txt",
     "hetclust sample --n 2000 --alpha 0.7 --weights constant:1.0 --seed 7 --out sparse.txt",
     "hetclust stats sparse.txt",
+]
+
+# `decompose` on each leading-term path: constant-weight triangles above
+# alpha = 1/2 (the exact cubic term), constant-weight clustering below and at
+# it (the exact linear term, then both), and rank-one clustering above it,
+# which keeps the dense terms on B = A - mu_matrix
+DECOMPOSE_COMMANDS = [
+    "hetclust decompose --n 300 --alpha 0.7 --weights constant:1.0 --stat triangles"
+    " --replicates 200 --seed 3 --out dt.csv",
+    "hetclust decompose --n 300 --alpha 0.3 --weights constant:1.0 --stat clustering"
+    " --replicates 200 --seed 3 --out dl.csv",
+    "hetclust decompose --n 300 --alpha 0.5 --weights constant:1.0 --stat clustering"
+    " --replicates 200 --seed 3 --out dh.csv",
+    "hetclust decompose --n 200 --alpha 0.7 --weights rank1:grid:0.5,1 --stat clustering"
+    " --replicates 200 --seed 3 --out dr.csv",
 ]
 
 
@@ -105,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     readme = readme_commands((ROOT / "README.md").read_text())
-    commands = readme + RANK_ONE_COMMANDS + KERNEL_COMMANDS + args.extra
+    commands = readme + RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS + args.extra
     with tempfile.TemporaryDirectory(prefix="readme-outputs-") as tmp:
         for line in run_commands(commands, Path(tmp)):
             print(line)

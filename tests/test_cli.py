@@ -10,7 +10,13 @@ from hetclust.model import DenseWeights, model_from_json
 from hetclust.theory import theoretical_moments
 
 from conftest import er_model
-from readme_outputs import KERNEL_COMMANDS, RANK_ONE_COMMANDS, ROOT, readme_commands
+from readme_outputs import (
+    DECOMPOSE_COMMANDS,
+    KERNEL_COMMANDS,
+    RANK_ONE_COMMANDS,
+    ROOT,
+    readme_commands,
+)
 
 
 def write_k4(path):
@@ -182,7 +188,7 @@ def test_readme_commands_parse():
         "sample", "stats", "theory", "mc", "phase", "decompose", "oracle"
     ]
     parser = build_parser()
-    for command in commands + RANK_ONE_COMMANDS + KERNEL_COMMANDS:
+    for command in commands + RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS:
         parser.parse_args(command.split()[1:])
 
 
@@ -419,3 +425,12 @@ def test_malformed_edgelist_is_one_line_error(tmp_path, capsys, text, expected):
     assert code != 0
     assert out == ""
     assert err == f"error: {path}:{expected}\n"
+
+
+def test_stats_on_graph_with_no_nodes_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("n 0\n")
+    code, out, err = run_cli(capsys, ["stats", str(path)])
+    assert code != 0
+    assert out == ""
+    assert err == "error: average clustering is undefined on a graph with no nodes\n"

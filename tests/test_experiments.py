@@ -1,8 +1,11 @@
+import ctypes
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from hetclust.experiments import (
     phase_sweep,
     run_mc,
 )
-from hetclust.model import ModelSpec, RankOneWeights
+from hetclust.model import DenseWeights, ModelSpec, RankOneWeights
+from hetclust.sampling import Graph, SeedSpec, sample_graph
 
 from conftest import er_model, random_dense_model
 
@@ -138,6 +142,38 @@ def test_run_mc_rank_one_worker_pool_matches_single_process():
     res1 = run_mc(m, STAT_CLUSTERING, r, master_seed=5, workers=1)
     res2 = run_mc(m, STAT_CLUSTERING, r, master_seed=5, workers=2)
     assert res1 == res2
+
+
+def _openblas_threads(payload=None, indices=(0,)) -> np.ndarray:
+    """The thread count of every OpenBLAS loaded in this process, one row per
+    index: a replicate task that reports the BLAS setting of its process."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    counts = []
+    for path in filter(os.path.isabs, paths):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads64_"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                counts.append(fn())
+                break
+    return np.array([counts] * len(indices))
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps") or _openblas_threads().size == 0,
+    reason="no OpenBLAS found in the process memory map",
+)
+def test_workers_share_the_cpus_between_their_blas_threads():
+    own = _openblas_threads()
+    pooled = experiments._map_replicates(_openblas_threads, None, 4, workers=2)
+    assert np.all(pooled == max(1, len(os.sched_getaffinity(0)) // 2))
+    # one process keeps the caller's setting, and the pool leaves it alone
+    single = experiments._map_replicates(_openblas_threads, None, 4, workers=1)
+    assert np.array_equal(single, np.repeat(own, 4, axis=0))
+    assert np.array_equal(_openblas_threads(), own)
 
 
 @pytest.mark.parametrize("kind", ["constant", "rank1", "dense"])
@@ -366,10 +402,75 @@ def test_decomposition_worker_pool_matches_single_process(stat, alpha):
 
 
 def test_decomposition_size_caps():
-    with pytest.raises(ValueError):
-        decomposition_check(er_model(301, alpha=0.7), STAT_CLUSTERING, 10, master_seed=0)
-    with pytest.raises(ValueError):
-        decomposition_check(er_model(2001, alpha=0.3), STAT_CLUSTERING, 10, master_seed=0)
+    # the caps guard the dense leading terms of rank-one and dense weights
+    for n, alpha, regime, cap in [(301, 0.7, "super_half", 300), (301, 0.5, "half", 300),
+                                  (2001, 0.3, "sub_half", 2000)]:
+        w = RankOneWeights(np.linspace(0.5, 1.0, n))
+        m = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=w)
+        for stat in (STAT_CLUSTERING, STAT_TRIANGLES):
+            with pytest.raises(ValueError) as err:
+                decomposition_check(m, stat, 10, master_seed=0)
+            assert str(err.value) == f"decomposition at regime {regime} caps n at {cap}, got {n}"
+
+
+@pytest.mark.parametrize("stat", [STAT_CLUSTERING, STAT_TRIANGLES])
+def test_constant_weight_decomposition_forms_no_dense_adjacency(stat, monkeypatch):
+    # constant weights read the graph's counts, so n lies above the dense caps
+    def no_dense(self):
+        raise AssertionError("dense adjacency formed")
+
+    monkeypatch.setattr(Graph, "adjacency_dense", no_dense)
+    rep = decomposition_check(er_model(1000, alpha=0.7), stat, 4, master_seed=3, workers=1)
+    assert rep.regime == "super_half"
+    assert np.all(np.isfinite(rep.leading)) and np.ptp(rep.leading) > 0.0
+
+
+def _dense_twin(model: ModelSpec) -> ModelSpec:
+    """The model with its constant weights given as an explicit dense matrix:
+    the same pair probabilities and graphs, evaluated on the dense path."""
+    w = np.full((model.n, model.n), float(model.weights.c))
+    np.fill_diagonal(w, 0.0)
+    return dataclasses.replace(model, weights=DenseWeights(w))
+
+
+@pytest.mark.parametrize("n", [12, 60, 300])
+@pytest.mark.parametrize(
+    "alpha, stat",
+    [(0.7, STAT_CLUSTERING), (0.3, STAT_CLUSTERING), (0.5, STAT_CLUSTERING),
+     (0.7, STAT_TRIANGLES)],
+)
+def test_constant_weight_terms_match_dense_evaluation(n, alpha, stat):
+    # clustering cubic, linear and their sum at alpha = 1/2; triangle cubic
+    m = er_model(n, alpha=alpha)
+    exact = decomposition_check(m, stat, 4, master_seed=515, workers=1)
+    dense = decomposition_check(_dense_twin(m), stat, 4, master_seed=515, workers=1)
+    assert np.array_equal(exact.values, dense.values)
+    np.testing.assert_allclose(exact.leading, dense.leading, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, stat",
+    [(0.7, STAT_CLUSTERING), (0.3, STAT_CLUSTERING), (0.5, STAT_CLUSTERING),
+     (0.7, STAT_TRIANGLES)],
+)
+def test_constant_weight_terms_are_correctly_rounded(alpha, stat):
+    # each leading term is the float nearest its defining sum over the
+    # rational b_ij = A_ij - mu, with mu, a and e the floats the model gives
+    n, r = 12, 3
+    m = er_model(n, alpha=alpha)
+    mu, a, e = map(Fraction, theory_module._constant_clustering_scalars(m))
+    rep = decomposition_check(m, stat, r, master_seed=515, workers=1)
+    for k in range(r):
+        adj = sample_graph(m, SeedSpec(515, k)).adjacency_dense()
+        b = [[Fraction(int(adj[i, j])) - (mu if i != j else 0) for j in range(n)] for i in range(n)]
+        triangles = sum(b[i][j] * b[j][l] * b[l][i] for i, j, l in itertools.combinations(range(n), 3))
+        pairs = sum(b[i][j] for i, j in itertools.combinations(range(n), 2))
+        if stat == STAT_TRIANGLES:
+            expect = triangles / ((n - 1) * mu) ** 3
+        else:
+            cubic, linear = 6 * a * triangles / n, e * pairs / n
+            expect = {0.7: cubic, 0.3: linear, 0.5: cubic + linear}[alpha]
+        assert rep.leading[k] == float(expect)
 
 
 def test_decomposition_rejects_invalid_model():

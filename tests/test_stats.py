@@ -268,13 +268,14 @@ def test_statistics_on_graphs_with_few_nodes_or_no_edges(fill, monkeypatch):
         assert prof.t.tolist() == [0] * g.n
         assert avg_clustering(g) == 0.0
         assert weighted_triangle_sum(g) == 0.0
-    # no nodes: the mean over nodes is numpy's mean of an empty array
+    # no nodes: the mean over nodes is undefined
     g = Graph.from_edges(0, none, none)
     assert _takes_dense(g, fill) is (fill == 0.0)
     assert triangle_profile(g).t.dtype == np.int64
     assert triangle_profile(g).t.tolist() == []
-    with pytest.warns(RuntimeWarning):
-        assert math.isnan(avg_clustering(g))
+    with pytest.raises(ValueError) as err:
+        avg_clustering(g)
+    assert str(err.value) == "average clustering is undefined on a graph with no nodes"
     assert weighted_triangle_sum(g) == 0.0
 
 
