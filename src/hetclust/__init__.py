@@ -14,7 +14,7 @@ from .model import (
     model_from_json,
     validate,
 )
-from .sampling import Graph, SeedSpec, edge_indicator_stream, read_edgelist, sample_graph, write_edgelist
+from .sampling import Graph, SeedSpec, read_edgelist, sample_graph, write_edgelist
 from .stats import avg_clustering, triangle_profile, weighted_triangle_sum
 from .theory import (
     TheoreticalMoments,

@@ -60,7 +60,6 @@ __all__ = [
     "decomposition_check",
     "emit_results",
     "default_filename",
-    "mc_result_from_json",
 ]
 
 STAT_CLUSTERING = "clustering"
@@ -582,14 +581,6 @@ def default_filename(result, fmt: str) -> str:
         return f"phase_{result.n}_{lo:g}-{hi:g}_0.{ext}"
     m = result.model
     return f"{result.stat_kind}_{m['n']}_{m['alpha']:g}_{result.master_seed}.{ext}"
-
-
-def mc_result_from_json(text: str) -> McRunResult:
-    doc = json.loads(text)
-    if doc.get("kind") != _KINDS[McRunResult]:
-        raise ValueError("not a serialized Monte Carlo run")
-    raw = {f.name: doc[f.name] for f in fields(McRunResult)}
-    return McRunResult(**{k: np.asarray(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def _result_to_text(result, fmt: str) -> str:

@@ -10,15 +10,21 @@ Three weight structures are supported: a single constant (the homogeneous
 Erdos-Renyi case), a rank-one product w_ij = w_i * w_j, and an explicit
 dense symmetric matrix.
 
+Each weight kind gives one row of its weights, w_i. with 0.0 at i
+(`row(i, n)`), and every derived value reads the rows p * w_i. one at a
+time (`ModelSpec.mu_row`): `mu_matrix` is filled row by row, the digest
+`mu_sha1` hashes the rows in turn, `mu` sums each, and the pair vector
+copies the part of each row right of the diagonal.  Constant weights
+make the pair vector a zero-stride view of the one probability p*c,
+which holds no memory per pair.  So only `mu_matrix` itself is n x n:
+sampling, validating, hashing or summing a model holds O(n) state
+beyond the pair vector, and O(n) in all for constant weights.
+
 The model is immutable after construction and safe to share across
-workers.  Its derived values (`mu_matrix`, `mu`, the pair vector and the
-digest `mu_sha1`) are cached on first use and left out of the pickled
-state, so a constant or rank-one model ships to a worker in O(n) and is
-rebuilt there once, and a model is hashed once however many runs report
-it.  Rank-one weights build the pair vector row by row; constant weights
-make it a zero-stride view of the one probability p*c, which holds no
-memory per pair.  A worker that only samples such a model never builds
-the n x n matrix.
+workers.  Its derived values are cached on first use and left out of
+the pickled state, so a constant or rank-one model ships to a worker in
+O(n) and is rebuilt there once, and a model is hashed once however many
+runs report it.
 Expected degrees mu_i = sum_j mu_ij must exceed 1 for the
 variance theory downstream (several constants divide by (mu_i - 1));
 `validate` flags, rather than forbids, models that violate this.
@@ -69,10 +75,10 @@ class ConstantWeights:
     kind: ClassVar[str] = "constant"
     c: float
 
-    def matrix(self, n: int) -> np.ndarray:
-        w = np.full((n, n), float(self.c))
-        np.fill_diagonal(w, 0.0)
-        return w
+    def row(self, i: int, n: int) -> np.ndarray:
+        r = np.full(n, float(self.c))
+        r[i] = 0.0
+        return r
 
     def violations(self, n: int, beta: float) -> list[str]:
         if not (0.0 < self.c <= 1.0):
@@ -92,10 +98,10 @@ class RankOneWeights:
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=np.float64))
 
-    def matrix(self, n: int) -> np.ndarray:
-        w = np.outer(self.w, self.w)
-        np.fill_diagonal(w, 0.0)
-        return w
+    def row(self, i: int, n: int) -> np.ndarray:
+        r = self.w[i] * self.w
+        r[i] = 0.0
+        return r
 
     def violations(self, n: int, beta: float) -> list[str]:
         out = []
@@ -119,8 +125,8 @@ class DenseWeights:
             self, "matrix_values", np.asarray(self.matrix_values, dtype=np.float64)
         )
 
-    def matrix(self, n: int) -> np.ndarray:
-        return self.matrix_values
+    def row(self, i: int, n: int) -> np.ndarray:
+        return self.matrix_values[i]
 
     def violations(self, n: int, beta: float) -> list[str]:
         w = self.matrix_values
@@ -164,22 +170,31 @@ class ModelSpec:
     def is_homogeneous(self) -> bool:
         return isinstance(self.weights, ConstantWeights)
 
+    def mu_row(self, i: int) -> np.ndarray:
+        """Row i of `mu_matrix`, p * w_i., built on its own."""
+        return self.p * self.weights.row(i, self.n)
+
     @cached_property
     def mu_matrix(self) -> np.ndarray:
         """Symmetric matrix of pair probabilities mu_ij, zero diagonal."""
-        m = self.p * self.weights.matrix(self.n)
+        m = np.empty((self.n, self.n))
+        for i in range(self.n):
+            m[i] = self.mu_row(i)
         m.flags.writeable = False
         return m
 
     @cached_property
     def mu_sha1(self) -> str:
-        """SHA-1 hex digest of the bytes of `mu_matrix`, hashed from its buffer."""
-        return sha1(np.ascontiguousarray(self.mu_matrix)).hexdigest()
+        """SHA-1 hex digest of the bytes of `mu_matrix`, hashed row by row."""
+        h = sha1()
+        for i in range(self.n):
+            h.update(self.mu_row(i))
+        return h.hexdigest()
 
     @cached_property
     def mu(self) -> np.ndarray:
-        """Expected degrees mu_i = sum_j mu_ij."""
-        m = self.mu_matrix.sum(axis=1)
+        """Expected degrees mu_i = sum_j mu_ij, one row sum each."""
+        m = np.array([self.mu_row(i).sum() for i in range(self.n)])
         m.flags.writeable = False
         return m
 
@@ -189,18 +204,12 @@ class ModelSpec:
         if isinstance(w, ConstantWeights):
             # one float, the off-diagonal entry of mu_matrix, read with stride 0
             return np.broadcast_to(self.p * float(w.c), (n_pairs(n),))
-        if isinstance(w, RankOneWeights):
-            # row i holds w_i * w_j for j > i, then times p: the floats of
-            # p * outer(w, w), without the n x n matrix
-            v = np.empty(n_pairs(n))
-            start = 0
-            for i in range(n - 1):
-                np.multiply(w.w[i], w.w[i + 1 :], out=v[start : start + n - 1 - i])
-                start += n - 1 - i
-            v *= self.p
-        else:
-            # a row-major upper-triangle mask visits pairs in canonical order
-            v = self.mu_matrix[np.triu(np.ones((n, n), dtype=bool), 1)]
+        # row i holds the pairs (i, j), j > i, in canonical order
+        v = np.empty(n_pairs(n))
+        start = 0
+        for i in range(n - 1):
+            v[start : start + n - 1 - i] = self.mu_row(i)[i + 1 :]
+            start += n - 1 - i
         v.flags.writeable = False
         return v
 
@@ -243,8 +252,7 @@ def _require_valid(model: ModelSpec) -> None:
     """Raise one-line `ValueError("invalid model: ...")` on a hard violation.
 
     Library entry points call this instead of `validate`: it skips the
-    pair-probability scan over mu_matrix and leaves the expected-degree
-    flag to `validate`.
+    pair-probability scan and leaves the expected-degree flag to `validate`.
     """
     violations = _hard_violations(model)
     if violations:
@@ -263,8 +271,8 @@ def validate(model: ModelSpec) -> ValidationReport:
     if violations:
         return ValidationReport(violations, flags, np.nan, np.nan, np.nan)
 
-    off = _off_diagonal(model.mu_matrix)
-    min_mu, max_mu = float(off.min()), float(off.max())
+    pairs = model.mu_pairs()
+    min_mu, max_mu = float(pairs.min()), float(pairs.max())
     if min_mu <= 0.0 or max_mu >= 1.0:
         violations.append(
             f"pair probabilities must lie in (0, 1); observed range [{min_mu}, {max_mu}]"

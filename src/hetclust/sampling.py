@@ -14,8 +14,8 @@ all-pairs index array.  Each block is compared against its slice of the
 model's cached pair vector (`ModelSpec.mu_pairs`, one per model); for
 constant weights that vector is a zero-stride view of the one
 probability p*c, so the comparison reads a single float.  A stream read
-in blocks yields the same deviates as one read at once
-(`edge_indicator_stream`), so graphs do not depend on the block size.
+in blocks yields the same deviates as one read at once, so graphs do not
+depend on the block size.
 Worker processes receive the model without its cached arrays and rebuild
 what they use once per chunk of replicates.
 """
@@ -35,7 +35,6 @@ from .pairs import n_pairs, pairs_from_ranks
 __all__ = [
     "SeedSpec",
     "Graph",
-    "edge_indicator_stream",
     "sample_graph",
     "write_edgelist",
     "read_edgelist",
@@ -64,17 +63,6 @@ def _philox(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=[seed.master_seed, seed.replicate_index])
     )
-
-
-def edge_indicator_stream(model: ModelSpec, seed: SeedSpec) -> np.ndarray:
-    """Per-pair uniforms underlying `sample_graph` for the same seed, in one array.
-
-    Entry k belongs to the k-th pair in canonical order.  The pair {i, j}
-    of the sampled graph is present iff its deviate is strictly below
-    mu_ij, so centered indicators can be recomputed without storing the
-    graph.  `sample_graph` reads the same stream in blocks instead.
-    """
-    return _philox(seed).random(n_pairs(model.n))
 
 
 @dataclass(frozen=True)
@@ -130,10 +118,11 @@ class Graph:
 def sample_graph(model: ModelSpec, seed: SeedSpec) -> Graph:
     """Draw one graph: pair {i, j} included independently w.p. mu_ij.
 
-    The deviates of `edge_indicator_stream` are read `_BLOCK` pair ranks
-    at a time into one buffer; each block keeps the ranks whose deviate
-    lies below the pair's probability, read from the block's slice of
-    `model.mu_pairs()`.
+    The seed's Philox stream holds one uniform deviate per pair, in
+    canonical pair order; the pair is present iff its deviate lies
+    strictly below its probability.  The deviates are read `_BLOCK` pair
+    ranks at a time into one buffer; each block keeps the ranks whose
+    deviate lies below the block's slice of `model.mu_pairs()`.
     """
     total = n_pairs(model.n)
     gen = _philox(seed)

@@ -50,7 +50,8 @@ All triple sums are evaluated exactly in O(n^3) through matrix products
 this module tells constant weights apart: every pair has probability
 p*c, so `sigma_components` and `v_components` each scale one triple and
 pair term by the counts in one closed-form block, delta is exactly 0,
-and the degree law is that of node 0.  `_constant_pair` and
+and the degree law is that of node 0, convolved from its row alone; none
+of them builds `mu_matrix`.  `_constant_pair` and
 `_constant_clustering_scalars` hand those scalars (p*c, a and e) to the
 decomposition's exact leading terms.  Asymptotically, for c = 1,
 
@@ -119,7 +120,8 @@ def _support_width(mu_max: float, n: int) -> int:
 
 
 def _degree_pmfs(rows: np.ndarray, k: int) -> np.ndarray:
-    """PMFs on {0, ..., k} of the degrees of a block of rows of mu_matrix.
+    """PMFs on {0, ..., k} of the degrees of a block of rows of pair
+    probabilities: all of `mu_matrix`, or one `mu_row` as a 1 x n block.
 
     One step per column j, in increasing j, convolves every row with
     Bernoulli(mu_rj) at once.  The zero diagonal makes a row's self-term a
@@ -143,11 +145,15 @@ def a_coeff_from_pmf(pmf: np.ndarray) -> float:
 
 
 def a_coeff(model: ModelSpec, i: int) -> float:
-    """Mean inverse ordered-pair count of d_i, truncated to d_i >= 2."""
+    """Mean inverse ordered-pair count of d_i, truncated to d_i >= 2.
+
+    The degree law convolves row i of the pair probabilities alone, so no
+    n x n matrix is built.
+    """
     if not (0 <= i < model.n):
         raise IndexError(f"node index out of range for n={model.n}")
     k = _support_width(float(model.mu[i]), model.n)
-    return a_coeff_from_pmf(_degree_pmfs(model.mu_matrix[i : i + 1], k)[0])
+    return a_coeff_from_pmf(_degree_pmfs(model.mu_row(i)[None, :], k)[0])
 
 
 def _a_all(model: ModelSpec) -> np.ndarray:
@@ -201,10 +207,10 @@ def clustering_constants(model: ModelSpec) -> ClusteringConstants:
     """All clustering variance constants, as full vectors and matrices."""
     _require_supercritical(model)
     m = model.mu_matrix
-    a, et = _a_all(model), expected_ti_all(model)
+    a, dsum = _a_all(model), m @ m
+    et = (dsum * m).sum(axis=1)  # expected_ti_all, from the one product
     b = _b_from(et, model.mu)
     c = m @ (a[:, None] * m)
-    dsum = m @ m
     e = 2.0 * c + 2.0 * (a[:, None] + a[None, :]) * dsum - b[:, None] - b[None, :]
     np.fill_diagonal(c, 0.0)
     np.fill_diagonal(dsum, 0.0)
@@ -214,10 +220,10 @@ def clustering_constants(model: ModelSpec) -> ClusteringConstants:
 
 def _constant_pair(model: ModelSpec) -> float | None:
     """The pair probability p*c that every pair has under constant weights,
-    the float of each off-diagonal entry of `mu_matrix`; None for other weights."""
+    the one float of the zero-stride pair vector; None for other weights."""
     if not model.is_homogeneous:
         return None
-    return model.p * float(model.weights.c)  # type: ignore[union-attr]
+    return float(model.mu_pairs()[0])
 
 
 def _constant_clustering_scalars(model: ModelSpec) -> tuple[float, float, float] | None:

@@ -6,12 +6,14 @@ Takes the `hetclust ...` lines of the README's command block, joining
 lines continued with a backslash, and runs them in README order in one
 temporary directory, so that a later command can read an earlier one's
 file.  The README uses constant weights only, so the fixed
-`RANK_ONE_COMMANDS` run next, then the fixed `KERNEL_COMMANDS` and
-`DECOMPOSE_COMMANDS`, then each `--extra` command, all in the same
-directory.  For every command it
-prints the first 16 hex digits of the sha256 of its stdout, its stderr
-and every file it wrote or changed.  Two checkouts whose
-listings are equal produce the same bytes for these commands.
+`RANK_ONE_COMMANDS` run next, then the fixed `KERNEL_COMMANDS`,
+`DECOMPOSE_COMMANDS` and `DENSE_COMMANDS`, then each `--extra` command,
+all in the same directory.  The dense commands read `w.csv`, a seeded
+symmetric weight matrix that the script writes into the directory first.
+It prints the first 16 hex digits of the sha256 of `w.csv`, then, for
+every command, of its stdout, its stderr and every file it wrote or
+changed.  Two checkouts whose listings are equal produce the same bytes
+for these commands.
 
 The commands run the package under `src/` of the checkout holding this
 script, through `python -m hetclust.cli`.
@@ -27,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 FENCE = "```"
@@ -66,6 +70,27 @@ DECOMPOSE_COMMANDS = [
     "hetclust decompose --n 200 --alpha 0.7 --weights rank1:grid:0.5,1 --stat clustering"
     " --replicates 200 --seed 3 --out dr.csv",
 ]
+
+# `theory`, `sample`, `mc` and `decompose` on explicit dense weights, whose
+# pair vector, theory constants and digest (`mu_sha1` in the JSON results)
+# come from the rows of `w.csv`
+DENSE_CSV, DENSE_N, DENSE_SEED = "w.csv", 60, 16
+DENSE_COMMANDS = [
+    f"hetclust theory --n {DENSE_N} --alpha 0.4 --weights dense:{DENSE_CSV}"
+    " --dump-constants --out wc.json",
+    f"hetclust sample --n {DENSE_N} --alpha 0.4 --weights dense:{DENSE_CSV} --seed 5 --out wg.txt",
+    f"hetclust mc --n {DENSE_N} --alpha 0.4 --weights dense:{DENSE_CSV} --stat clustering"
+    " --replicates 200 --seed 5 --out wr.json --format json",
+    f"hetclust decompose --n {DENSE_N} --alpha 0.5 --weights dense:{DENSE_CSV} --stat triangles"
+    " --replicates 200 --seed 5 --out wd.json --format json",
+]
+
+
+def write_dense_weights(path: Path) -> None:
+    """A seeded symmetric DENSE_N x DENSE_N weight matrix: entries uniform on
+    [0.5, 1] above the diagonal, mirrored below it, zero on it."""
+    upper = np.triu(np.random.default_rng(DENSE_SEED).uniform(0.5, 1.0, (DENSE_N, DENSE_N)), 1)
+    np.savetxt(path, upper + upper.T, delimiter=",", fmt="%.17g")
 
 
 def readme_commands(text: str) -> list[str]:
@@ -121,8 +146,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     readme = readme_commands((ROOT / "README.md").read_text())
-    commands = readme + RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS + args.extra
+    commands = (
+        readme + RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS + DENSE_COMMANDS
+        + args.extra
+    )
     with tempfile.TemporaryDirectory(prefix="readme-outputs-") as tmp:
+        weights = Path(tmp) / DENSE_CSV
+        write_dense_weights(weights)
+        print(f"{DENSE_CSV} {_digest(weights.read_bytes())}")
         for line in run_commands(commands, Path(tmp)):
             print(line)
     return 0

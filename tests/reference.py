@@ -155,3 +155,14 @@ def mean_t_leading_direct(mu: np.ndarray) -> float:
     for i, j, k in itertools.combinations(range(n), 3):
         total += mu[i, j] * mu[j, k] * mu[k, i] / (mi[i] * mi[j] * mi[k])
     return total
+
+
+def edge_indicator_stream(model, seed) -> np.ndarray:
+    """Per-pair uniforms underlying `sample_graph` for the same seed, in one array.
+
+    Entry k belongs to the k-th pair in canonical order.  The pair {i, j}
+    of the sampled graph is present iff its deviate is strictly below
+    mu_ij.  `sample_graph` reads the same Philox stream in blocks instead.
+    """
+    gen = np.random.Generator(np.random.Philox(key=[seed.master_seed, seed.replicate_index]))
+    return gen.random(model.n * (model.n - 1) // 2)

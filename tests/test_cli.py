@@ -12,6 +12,7 @@ from hetclust.theory import theoretical_moments
 from conftest import er_model
 from readme_outputs import (
     DECOMPOSE_COMMANDS,
+    DENSE_COMMANDS,
     KERNEL_COMMANDS,
     RANK_ONE_COMMANDS,
     ROOT,
@@ -188,7 +189,8 @@ def test_readme_commands_parse():
         "sample", "stats", "theory", "mc", "phase", "decompose", "oracle"
     ]
     parser = build_parser()
-    for command in commands + RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS:
+    fixed = RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS + DENSE_COMMANDS
+    for command in commands + fixed:
         parser.parse_args(command.split()[1:])
 
 

@@ -17,16 +17,16 @@ from hetclust import theory as theory_module
 from hetclust.experiments import (
     STAT_CLUSTERING,
     STAT_TRIANGLES,
+    McRunResult,
     _model_summary,
     decomposition_check,
     default_filename,
     emit_results,
     ks_distance,
-    mc_result_from_json,
     phase_sweep,
     run_mc,
 )
-from hetclust.model import DenseWeights, ModelSpec, RankOneWeights
+from hetclust.model import DenseWeights, ModelSpec, RankOneWeights, validate
 from hetclust.sampling import Graph, SeedSpec, sample_graph
 
 from conftest import er_model, random_dense_model
@@ -192,18 +192,20 @@ def test_model_digest_hashes_mu_matrix_bytes(kind):
 
 
 def test_model_digest_computed_once_per_model(monkeypatch):
-    calls = []
+    made = []
 
-    def counting_sha1(data):
-        calls.append(data.nbytes)
-        return hashlib.sha1(data)
+    def counting_sha1(*data):
+        made.append(hashlib.sha1(*data))
+        return made[-1]
 
     monkeypatch.setattr(model_module, "sha1", counting_sha1)
     m = er_model(30, alpha=0.4)
     for stat in (STAT_CLUSTERING, STAT_TRIANGLES):
         run_mc(m, stat, 4, master_seed=2, workers=1)
     decomposition_check(m, STAT_CLUSTERING, 4, master_seed=2, workers=1)
-    assert calls == [m.mu_matrix.nbytes]
+    # one hash object per model, fed row by row, over the bytes of mu_matrix
+    assert len(made) == 1
+    assert made[0].hexdigest() == hashlib.sha1(m.mu_matrix.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -221,6 +223,14 @@ def test_run_mc_honors_env_worker_count(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # emission
+
+
+def mc_result_from_json(text: str) -> McRunResult:
+    """The run a JSON result file holds, its lists read back as arrays."""
+    doc = json.loads(text)
+    assert doc["kind"] == "mc_run"
+    raw = {f.name: doc[f.name] for f in dataclasses.fields(McRunResult)}
+    return McRunResult(**{k: np.asarray(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def test_mc_json_round_trip(tmp_path):
@@ -423,6 +433,21 @@ def test_constant_weight_decomposition_forms_no_dense_adjacency(stat, monkeypatc
     rep = decomposition_check(er_model(1000, alpha=0.7), stat, 4, master_seed=3, workers=1)
     assert rep.regime == "super_half"
     assert np.all(np.isfinite(rep.leading)) and np.ptp(rep.leading) > 0.0
+
+
+def test_constant_weight_runs_never_build_mu_matrix(monkeypatch):
+    # the runs read rows, row sums and the zero-stride pair vector: O(n) model state
+    def no_matrix(self):
+        raise AssertionError("mu_matrix built")
+
+    monkeypatch.setattr(ModelSpec, "mu_matrix", property(no_matrix))
+    n = 2000
+    assert validate(er_model(n, alpha=0.7)).ok
+    for stat in (STAT_CLUSTERING, STAT_TRIANGLES):
+        run_mc(er_model(n, alpha=0.7), stat, 2, master_seed=1, workers=1)
+        for alpha in (0.3, 0.5, 0.7):  # each regime
+            decomposition_check(er_model(n, alpha=alpha), stat, 2, master_seed=1, workers=1)
+    assert len(phase_sweep(n, [0.3, 0.5, 0.7]).records) == 3
 
 
 def _dense_twin(model: ModelSpec) -> ModelSpec:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import pickle
 import tracemalloc
@@ -157,7 +159,7 @@ def test_model_json_grid_and_csv(tmp_path):
     np.savetxt(csv, w, delimiter=",")
     cfg = {"n": 4, "alpha": 0.4, "beta": 0.7, "weights": {"kind": "dense", "csv": str(csv)}}
     m = model_from_json(cfg)
-    assert np.allclose(m.weights.matrix(4), w)
+    assert np.array_equal(m.weights.matrix_values, w)
 
     cfg = {"n": 6, "alpha": 0.4, "beta": 0.5, "weights": {"kind": "rank1", "grid": [0.5, 1.0]}}
     m = model_from_json(cfg)
@@ -219,3 +221,33 @@ def test_pickle_drops_cached_arrays(rng):
         assert np.array_equal(back.mu_matrix, m.mu_matrix)
         assert np.array_equal(back.mu_pairs(), m.mu_pairs())
         assert back.mu_sha1 == m.mu_sha1
+
+
+def _whole_matrix_formulas(m: ModelSpec) -> tuple:
+    """mu_matrix, mu, the pair vector and mu_sha1 by way of the whole n x n
+    weight matrix: p times the matrix, its row sums, its upper triangle
+    gathered in row-major order, and the hash of its buffer."""
+    w = m.weights
+    if isinstance(w, DenseWeights):
+        full = w.matrix_values
+    else:
+        full = np.outer(w.w, w.w) if isinstance(w, RankOneWeights) else np.full((m.n, m.n), float(w.c))
+        np.fill_diagonal(full, 0.0)
+    mu_matrix = m.p * full
+    pairs = mu_matrix[np.triu(np.ones((m.n, m.n), dtype=bool), 1)]
+    return mu_matrix, mu_matrix.sum(axis=1), pairs, hashlib.sha1(mu_matrix).hexdigest()
+
+
+@pytest.mark.parametrize("n", [3, 50, 301])
+def test_row_built_values_equal_whole_matrix_formulas(n, rng):
+    for m in (
+        er_model(n, alpha=0.45, c=0.8),
+        ModelSpec(n=n, alpha=0.6, beta=0.3, weights=RankOneWeights(rng.uniform(0.3, 1, n))),
+        random_dense_model(n, rng),
+    ):
+        mu_matrix, mu, pairs, digest = _whole_matrix_formulas(m)
+        # bit for bit, each value on a copy of the model that has cached nothing
+        assert dataclasses.replace(m).mu_matrix.tobytes() == mu_matrix.tobytes()
+        assert dataclasses.replace(m).mu.tobytes() == mu.tobytes()
+        assert np.ascontiguousarray(dataclasses.replace(m).mu_pairs()).tobytes() == pairs.tobytes()
+        assert dataclasses.replace(m).mu_sha1 == digest

@@ -22,7 +22,6 @@ PUBLIC_NAMES = {
     # sampling
     "Graph",
     "SeedSpec",
-    "edge_indicator_stream",
     "read_edgelist",
     "sample_graph",
     "write_edgelist",

@@ -11,13 +11,13 @@ from hetclust.pairs import n_pairs, pair_arrays, pairs_from_ranks
 from hetclust.sampling import (
     Graph,
     SeedSpec,
-    edge_indicator_stream,
     read_edgelist,
     sample_graph,
     write_edgelist,
 )
 
 from conftest import er_model, random_dense_model
+from reference import edge_indicator_stream
 
 
 def edge_set(g: Graph) -> set[tuple[int, int]]:

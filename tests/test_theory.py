@@ -263,7 +263,8 @@ def test_v_components_match_direct_sums(rng):
 
 def test_fast_path_agrees_with_generic():
     m = er_model(200, alpha=0.45)
-    dense = ModelSpec(n=m.n, alpha=m.alpha, beta=m.beta, weights=DenseWeights(m.weights.matrix(m.n)))
+    w = np.stack([m.weights.row(i, m.n) for i in range(m.n)])
+    dense = ModelSpec(n=m.n, alpha=m.alpha, beta=m.beta, weights=DenseWeights(w))
     for fast, generic in (
         (sigma_components(m), sigma_components(dense)),
         (v_components(m), v_components(dense)),
