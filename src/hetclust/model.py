@@ -16,9 +16,13 @@ time (`ModelSpec.mu_row`): `mu_matrix` is filled row by row, the digest
 `mu_sha1` hashes the rows in turn, `mu` sums each, and the pair vector
 copies the part of each row right of the diagonal.  Constant weights
 make the pair vector a zero-stride view of the one probability p*c,
-which holds no memory per pair.  So only `mu_matrix` itself is n x n:
-sampling, validating, hashing or summing a model holds O(n) state
-beyond the pair vector, and O(n) in all for constant weights.
+which holds no memory per pair.  `validate` reads the range of the
+pair probabilities from each kind's `pair_range`, the smallest and
+largest off-diagonal weight, times p; p * w_ij is monotone in w_ij, so
+that is the pair vector's range bit for bit.  So only `mu_matrix`
+itself is n x n: sampling a model holds O(n) state beyond the pair
+vector, and validating, hashing or summing it O(n) in all (a dense
+model's own weights aside).
 
 The model is immutable after construction and safe to share across
 workers.  Its derived values are cached on first use and left out of
@@ -80,6 +84,9 @@ class ConstantWeights:
         r[i] = 0.0
         return r
 
+    def pair_range(self, n: int) -> tuple[float, float]:
+        return float(self.c), float(self.c)
+
     def violations(self, n: int, beta: float) -> list[str]:
         if not (0.0 < self.c <= 1.0):
             return [f"constant weight c={self.c} outside (0, 1]"]
@@ -102,6 +109,12 @@ class RankOneWeights:
         r = self.w[i] * self.w
         r[i] = 0.0
         return r
+
+    def pair_range(self, n: int) -> tuple[float, float]:
+        # a rounded product of positive floats is monotone in each factor,
+        # so the two smallest and the two largest w_i give its range
+        low, high = np.partition(self.w, 1)[:2], np.partition(self.w, n - 2)[-2:]
+        return float(low[0] * low[1]), float(high[0] * high[1])
 
     def violations(self, n: int, beta: float) -> list[str]:
         out = []
@@ -128,6 +141,10 @@ class DenseWeights:
     def row(self, i: int, n: int) -> np.ndarray:
         return self.matrix_values[i]
 
+    def pair_range(self, n: int) -> tuple[float, float]:
+        off = _off_diagonal(self.matrix_values)
+        return float(off.min()), float(off.max())
+
     def violations(self, n: int, beta: float) -> list[str]:
         w = self.matrix_values
         out = []
@@ -140,8 +157,8 @@ class DenseWeights:
             out.append(f"dense weight matrix is asymmetric (first mismatch at ({i}, {j}))")
         if np.any(np.diag(w) != 0.0):
             out.append("dense weight matrix must have zero diagonal")
-        off = _off_diagonal(w)
-        if not (off.min() >= beta and off.max() <= 1.0):  # NaN fails both
+        low, high = self.pair_range(n)
+        if not (low >= beta and high <= 1.0):  # NaN fails both
             out.append("dense off-diagonal weights must lie in [beta, 1]")
         return out
 
@@ -271,8 +288,8 @@ def validate(model: ModelSpec) -> ValidationReport:
     if violations:
         return ValidationReport(violations, flags, np.nan, np.nan, np.nan)
 
-    pairs = model.mu_pairs()
-    min_mu, max_mu = float(pairs.min()), float(pairs.max())
+    low, high = model.weights.pair_range(model.n)
+    min_mu, max_mu = model.p * low, model.p * high
     if min_mu <= 0.0 or max_mu >= 1.0:
         violations.append(
             f"pair probabilities must lie in (0, 1); observed range [{min_mu}, {max_mu}]"

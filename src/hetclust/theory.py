@@ -45,15 +45,46 @@ most 1e-30 / (K (K+1)).  E[1/(d(d-1))] is ill-defined on {d <= 1};
 truncating to {d >= 2} matches the zero-denominator convention of the
 statistic itself and the exponentially small low-degree tail.
 
-All triple sums are evaluated exactly in O(n^3) through matrix products
-(zero diagonals make the coincidence terms vanish identically).  Only
-this module tells constant weights apart: every pair has probability
-p*c, so `sigma_components` and `v_components` each scale one triple and
-pair term by the counts in one closed-form block, delta is exactly 0,
-and the degree law is that of node 0, convolved from its row alone; none
-of them builds `mu_matrix`.  `_constant_pair` and
-`_constant_clustering_scalars` hand those scalars (p*c, a and e) to the
-decomposition's exact leading terms.  Asymptotically, for c = 1,
+For dense weights all triple sums are evaluated exactly in O(n^3)
+through matrix products (zero diagonals make the coincidence terms
+vanish identically); they are the reference for the other weight kinds.
+Only this module tells the weight kinds apart.  Under constant weights
+every pair has probability p*c, so `sigma_components` and
+`v_components` each scale one triple and pair term by the counts in one
+closed-form block, delta is exactly 0, and the degree law is that of
+node 0, convolved from its row alone; none of them builds `mu_matrix`.
+`_constant_pair` and `_constant_clustering_scalars` hand those scalars
+(p*c, a and e) to the decomposition's exact leading terms.
+
+Under rank-one weights mu_ij = p w_i w_j, so f_ij = sum_s c_s (w_i w_j)^s
+with c_1 = p, c_2 = -p^2, and every triple sum of the moments is a sum
+over distinct ordered triples of a product x_i y_j z_k,
+
+    D3(x, y, z) = XYZ - (sum xy) Z - (sum xz) Y - (sum yz) X + 2 sum xyz,
+
+with X, Y, Z the sums of x, y, z: O(n) power sums of w, weighted by a,
+1/mu^2 or (2 mu - 1)/(mu^2 (mu - 1)^2), in place of the O(n^3)
+products.  sigma1_sq takes (a_i + a_j + a_k)^2 as 3 a_i^2 + 6 a_i a_j
+by symmetry; E[t_i] = p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)] with
+S_k = sum of w^k.  The pair sums of sigma2_sq and v2_sq are O(n^2) elementwise, from
+d_ij = p^2 w_i w_j (S2 - w_i^2 - w_j^2), c_ij = p^2 w_i w_j
+(sum a w^2 - a_i w_i^2 - a_j w_j^2), gamma_ij = q_i q_j (T - r_i - r_j)
+and eta_i = p q_i^2 [(T - r_i)^2 - (sum r^2 - r_i^2)], where q = p w / mu,
+r = w^2 / mu and T = sum of r; mu_i is the model's own row sum `mu`.
+Every sum is a numpy reduction of an elementwise product, never a BLAS
+product, so these numbers do not depend on the BLAS thread count.  All
+agree with the dense path to about 1e-14 relative, except v2_sq: delta =
+gamma - (eta_i + eta_j)/2 is a small difference of nearly equal terms
+(it vanishes under constant weights).  The dense path forms it so and
+loses about 2 log10(n) digits: against an extended-precision evaluation
+of the defining sums it is off by up to 4e-12 relative at n = 300.  The
+rank-one path expands delta around pT = 1, with 1 - pT taken by
+`math.fsum` (`_rank_one_v`), and was off by at most 3.2e-13 for
+n <= 500, w in [0.3, 1] and alpha in [0.3, 0.7]; the tests bound it by
+5e-11.  The degree law, `clustering_constants` and `triangle_constants` stay on
+`mu_matrix` for every non-constant model.
+
+Asymptotically, for c = 1,
 
     sigma1_sq -> 6 / n^(3-alpha),   sigma2_sq -> 2 / n^(2+alpha),
 
@@ -66,6 +97,7 @@ in alpha.  Convergence to these closed forms is slow: a_i exceeds
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -160,8 +192,11 @@ def _a_all(model: ModelSpec) -> np.ndarray:
     if model.is_homogeneous:
         return np.full(model.n, a_coeff(model, 0))
     k = _support_width(float(model.mu.max()), model.n)
+    # mu_matrix is symmetric, so its transpose has the same rows, and the
+    # columns the convolution steps through are its contiguous rows
+    pmfs = _degree_pmfs(model.mu_matrix.T, k)
     # one exactly rounded sum per node, as a_coeff gives; no convolution here
-    return np.array([a_coeff_from_pmf(pmf) for pmf in _degree_pmfs(model.mu_matrix, k)])
+    return np.array([a_coeff_from_pmf(pmf) for pmf in pmfs])
 
 
 def expected_ti_all(model: ModelSpec) -> np.ndarray:
@@ -249,13 +284,17 @@ def sigma_components(model: ModelSpec) -> tuple[float, float]:
 
     Constant weights take a closed form: every pair has the probability
     p*c, so one representative triple and pair term is scaled by the
-    number of triples and pairs.  The same model built with `DenseWeights`
-    takes the generic sums over `clustering_constants`.
+    number of triples and pairs.  Rank-one weights take power sums of w
+    (`_rank_one_sigma`).  The same model built with `DenseWeights` takes
+    the generic sums over `clustering_constants`.
     """
     _require_supercritical(model)
     n = model.n
     scalars = _constant_clustering_scalars(model)
     if scalars is None:
+        w = _rank_one_weights(model)
+        if w is not None:
+            return _rank_one_sigma(model, w, _a_all(model))
         cc = clustering_constants(model)
         a, e = cc.a, cc.e
         del cc  # free c and d before the n x n temporaries of the sums
@@ -328,7 +367,8 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (v1_sq, v2_sq) for the weighted triangle sum.
 
     Under constant weights delta vanishes identically, so v2_sq is 0
-    exactly and the closed form returns it as such.
+    exactly and the closed form returns it as such.  Rank-one weights take
+    power sums of w (`_rank_one_v`).
     """
     n = model.n
     mu_pair = _constant_pair(model)
@@ -337,6 +377,9 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
         f = mu_pair * (1.0 - mu_pair)
         v1 = comb(n, 3) * f**3 / mu**6
         return v1, 0.0
+    w = _rank_one_weights(model)
+    if w is not None:
+        return _rank_one_v(model, w)
     mu = model.mu
     f = _pair_variance(model)
     g = f / np.outer(mu, mu)
@@ -359,6 +402,9 @@ def mean_cc_approx(model: ModelSpec) -> float:
     at small n the second term is not a small correction.
     """
     _require_supercritical(model)
+    w = _rank_one_weights(model)
+    if w is not None:
+        return _rank_one_mean_cc(model, w, _a_all(model))
     return _mean_cc(model, _a_all(model), expected_ti_all(model))
 
 
@@ -379,6 +425,9 @@ def mean_t_leading(model: ModelSpec) -> float:
     sum_{i<j<k} mu_ij mu_jk mu_ki / (mu_i mu_j mu_k).  Diagnostic only;
     the full expectation has no closed form at finite n.
     """
+    w = _rank_one_weights(model)
+    if w is not None:
+        return _rank_one_mean_t(model, w)
     m = model.mu_matrix
     mu = model.mu
     h = m / np.sqrt(np.outer(mu, mu))
@@ -424,6 +473,119 @@ def v_closed_form_rank_one(model: ModelSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
+# rank-one weights: power sums of w
+
+
+def _rank_one_weights(model: ModelSpec) -> np.ndarray | None:
+    """The weight vector w of rank-one weights; None for other weights."""
+    weights = model.weights
+    return weights.w if isinstance(weights, RankOneWeights) else None
+
+
+def _d3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
+    """Sum of x_i y_j z_k over the ordered triples of distinct nodes."""
+    sx, sy, sz = float(x.sum()), float(y.sum()), float(z.sum())
+    return (
+        sx * sy * sz
+        - float((x * y).sum()) * sz
+        - float((x * z).sum()) * sy
+        - float((y * z).sum()) * sx
+        + 2.0 * float((x * y * z).sum())
+    )
+
+
+def _pair_variance_terms(model: ModelSpec) -> tuple[tuple[int, float], ...]:
+    """(s, c_s) with f_ij = sum of c_s (w_i w_j)^s for i != j."""
+    p = model.p
+    return ((1, p), (2, -p * p))
+
+
+def _triple_terms(model: ModelSpec, w: np.ndarray):
+    """(c_s c_t c_u, w^(s+u), w^(s+t), w^(t+u)) over (s, t, u), so that
+    f_ij f_jk f_ki is the sum of c w_i^(s+u) w_j^(s+t) w_k^(t+u)."""
+    for (s, cs), (t, ct), (u, cu) in itertools.product(_pair_variance_terms(model), repeat=3):
+        yield cs * ct * cu, w ** (s + u), w ** (s + t), w ** (t + u)
+
+
+def _rank_one_et(model: ModelSpec, w: np.ndarray) -> np.ndarray:
+    """E[t_i] = p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)], S_k = sum of w^k."""
+    w2 = w * w
+    w4 = w2 * w2
+    return model.p**3 * w2 * ((float(w2.sum()) - w2) ** 2 - (float(w4.sum()) - w4))
+
+
+def _rank_one_sigma(model: ModelSpec, w: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+    """(sigma1_sq, sigma2_sq) of `sigma_components` for rank-one weights."""
+    n, p, mu = model.n, model.p, model.mu
+    # the triple sum is symmetric in (i, j, k), so (a_i + a_j + a_k)^2 counts
+    # as 3 a_i^2 + 6 a_i a_j
+    a2 = a * a
+    triple = sum(
+        c * (_d3(a2 * x, y, z) + 2.0 * _d3(a * x, a * y, z))
+        for c, x, y, z in _triple_terms(model, w)
+    )
+    w2 = w * w
+    aw2 = a * w2
+    b = _b_from(_rank_one_et(model, w), mu)
+    # e_ij = 2 c_ij + 2 (a_i + a_j) d_ij - b_i - b_j with
+    #   c_ij = p^2 w_i w_j (sum a w^2 - a_i w_i^2 - a_j w_j^2),
+    #   d_ij = p^2 w_i w_j (S2 - w_i^2 - w_j^2)
+    e = np.subtract.outer(float(aw2.sum()) - aw2, aw2)
+    e += np.add.outer(a, a) * np.subtract.outer(float(w2.sum()) - w2, w2)
+    pw = p * w
+    e *= 2.0 * np.multiply.outer(pw, pw)
+    e -= np.add.outer(b, b)
+    sigma2 = (0.5 / n**2) * float((e**2 * _pair_variance(model)).sum())
+    return (2.0 / n**2) * triple, sigma2
+
+
+def _rank_one_v(model: ModelSpec, w: np.ndarray) -> tuple[float, float]:
+    """(v1_sq, v2_sq) of `v_components` for rank-one weights."""
+    p, mu = model.p, model.mu
+    inv2 = 1.0 / (mu * mu)
+    triple = sum(c * _d3(x * inv2, y * inv2, z * inv2) for c, x, y, z in _triple_terms(model, w))
+    # gamma_ij = q_i q_j (T - r_i - r_j) and eta_i = p q_i^2 [(T - r_i)^2 - (R2 - r_i^2)],
+    # with q = p w / mu, r = w^2 / mu, T = sum of r and R2 = sum of r^2, give
+    #   delta_ij = -(p/2) (s_i - s_j)^2 + (p/2) (h_i + h_j)
+    #              + q_i q_j [(1 - pT)(T - r_i - r_j) - p r_i r_j],
+    # s = q (T - r), h = q^2 (R2 - r^2); pT = 1 + O(1/n), so 1 - pT is taken by fsum
+    q = p * w / mu
+    r = w * w / mu
+    t, r2 = float(r.sum()), float((r * r).sum())
+    one_minus_pt = math.fsum([1.0, *(-p * r).tolist()])
+    s = q * (t - r)
+    delta = np.subtract.outer(s, s)
+    delta *= delta
+    delta *= -0.5 * p
+    h = 0.5 * p * q * q * (r2 - r * r)
+    delta += np.add.outer(h, h)
+    cross = np.subtract.outer(t - r, r)
+    cross *= one_minus_pt
+    cross -= p * np.multiply.outer(r, r)
+    cross *= np.multiply.outer(q, q)
+    delta += cross
+    v2 = 0.5 * float((delta**2 * _pair_variance(model)).sum())
+    return triple / 6.0, v2
+
+
+def _rank_one_mean_cc(model: ModelSpec, w: np.ndarray, a: np.ndarray) -> float:
+    """`mean_cc_approx` for rank-one weights, where f_ij mu_ik mu_jk is the
+    sum of c_s p^2 w_i^(s+1) w_j^(s+1) w_k^2."""
+    n, p, mu = model.n, model.p, model.mu
+    term1 = float((_rank_one_et(model, w) * a).sum()) / n
+    g = (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
+    w2 = w * w
+    paths = sum(c * _d3(g * w ** (s + 1), w ** (s + 1), w2) for s, c in _pair_variance_terms(model))
+    return term1 - (2.0 / n) * p * p * paths
+
+
+def _rank_one_mean_t(model: ModelSpec, w: np.ndarray) -> float:
+    """`mean_t_leading` for rank-one weights: (p^3 / 6) D3(r, r, r), r = w^2 / mu."""
+    r = w * w / model.mu
+    return model.p**3 * _d3(r, r, r) / 6.0
+
+
+# ---------------------------------------------------------------------------
 # aggregate
 
 
@@ -446,10 +608,15 @@ def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
     _require_supercritical(model)
     # v first: its n x n temporaries set the peak, so no clustering constant is alive then
     v1, v2 = v_components(model)
+    w = _rank_one_weights(model)
+    # otherwise one degree law (the dominant cost) serves sigma and the mean
     if model.is_homogeneous:
         (s1, s2), mean_cc = sigma_components(model), mean_cc_approx(model)
+    elif w is not None:
+        a = _a_all(model)
+        (s1, s2), mean_cc = _rank_one_sigma(model, w, a), _rank_one_mean_cc(model, w, a)
     else:
-        cc = clustering_constants(model)  # one degree law (the dominant cost) for both
+        cc = clustering_constants(model)
         (s1, s2), mean_cc = _sigma_sums(model, cc.a, cc.e), _mean_cc(model, cc.a, cc.et)
     return TheoreticalMoments(
         sigma1_sq=s1,

@@ -1,6 +1,6 @@
 """Hash the outputs of every `hetclust` command in the README.
 
-Usage: python tests/readme_outputs.py [--extra "hetclust ..."]...
+Usage: python tests/readme_outputs.py [--keep DIR] [--extra "hetclust ..."]...
 
 Takes the `hetclust ...` lines of the README's command block, joining
 lines continued with a backslash, and runs them in README order in one
@@ -13,7 +13,9 @@ symmetric weight matrix that the script writes into the directory first.
 It prints the first 16 hex digits of the sha256 of `w.csv`, then, for
 every command, of its stdout, its stderr and every file it wrote or
 changed.  Two checkouts whose listings are equal produce the same bytes
-for these commands.
+for these commands.  With `--keep DIR` the commands run in DIR, which
+must be empty or absent, and their files stay there, so that two
+checkouts' outputs can be compared number by number.
 
 The commands run the package under `src/` of the checkout holding this
 script, through `python -m hetclust.cli`.
@@ -40,6 +42,7 @@ FENCE = "```"
 RANK_ONE_COMMANDS = [
     "hetclust theory --n 300 --alpha 0.4 --weights rank1:grid:0.5,1 --dump-constants --out c.json",
     "hetclust theory --n 200 --alpha 0.3 --weights rank1:grid:0.3,1",
+    "hetclust theory --n 500 --alpha 0.7 --weights rank1:grid:0.5,1",
     "hetclust decompose --n 200 --alpha 0.3 --weights rank1:grid:0.5,1 --stat triangles"
     " --replicates 200 --seed 2 --out d.csv",
     "hetclust mc --n 200 --alpha 0.6 --weights rank1:grid:0.5,1 --stat triangles"
@@ -144,19 +147,34 @@ def main(argv: list[str] | None = None) -> int:
         "--extra", action="append", default=[], metavar="COMMAND",
         help="a further `hetclust ...` command to run after the fixed ones",
     )
+    parser.add_argument(
+        "--keep", metavar="DIR", type=Path,
+        help="run in DIR (empty or absent) and keep the files written there",
+    )
     args = parser.parse_args(argv)
     readme = readme_commands((ROOT / "README.md").read_text())
     commands = (
         readme + RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS + DENSE_COMMANDS
         + args.extra
     )
-    with tempfile.TemporaryDirectory(prefix="readme-outputs-") as tmp:
-        weights = Path(tmp) / DENSE_CSV
-        write_dense_weights(weights)
-        print(f"{DENSE_CSV} {_digest(weights.read_bytes())}")
-        for line in run_commands(commands, Path(tmp)):
-            print(line)
+    if args.keep is None:
+        with tempfile.TemporaryDirectory(prefix="readme-outputs-") as tmp:
+            list_outputs(commands, Path(tmp))
+        return 0
+    args.keep.mkdir(parents=True, exist_ok=True)
+    if any(args.keep.iterdir()):
+        parser.error(f"--keep directory {args.keep} is not empty")
+    list_outputs(commands, args.keep)
     return 0
+
+
+def list_outputs(commands: list[str], workdir: Path) -> None:
+    """Write `w.csv` into `workdir`, run the commands there, print the listing."""
+    weights = workdir / DENSE_CSV
+    write_dense_weights(weights)
+    print(f"{DENSE_CSV} {_digest(weights.read_bytes())}")
+    for line in run_commands(commands, workdir):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -152,6 +152,19 @@ def test_validate_copies_no_pair_matrix():
     assert peak < 2 * 2**20
 
 
+def test_validate_builds_no_pair_vector(rng):
+    w = rng.uniform(0.3, 1, 2000)
+    rank1 = ModelSpec(n=2000, alpha=0.6, beta=0.3, weights=RankOneWeights(w))
+    tied = RankOneWeights(np.repeat([0.5, 0.75, 1.0], [2, 46, 2]))  # ties at both ends
+    ties = ModelSpec(n=50, alpha=0.4, beta=0.5, weights=tied)
+    for m in (rank1, ties, random_dense_model(300, rng), er_model(2000, alpha=0.6, c=0.7)):
+        report = validate(m)
+        assert report.ok
+        assert "_mu_pairs" not in m.__dict__
+        pairs = m.mu_pairs()
+        assert (report.min_mu, report.max_mu) == (float(pairs.min()), float(pairs.max()))
+
+
 def test_model_json_grid_and_csv(tmp_path):
     w = np.full((4, 4), 0.75)
     np.fill_diagonal(w, 0.0)

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +276,118 @@ def test_fast_path_agrees_with_generic():
     ):
         assert fast[0] == pytest.approx(generic[0], rel=1e-10)
         assert fast[1] == pytest.approx(generic[1], rel=1e-10, abs=1e-30)
+
+
+# ---------------------------------------------------------------------------
+# rank-one power sums vs the dense path
+
+
+RANK_ONE_SIZES = (3, 4, 5, 6, 7, 40, 300)
+
+
+def _rank_one_models(n):
+    """(rank-one model, its DenseWeights twin) for grid and random weights at
+    each alpha; the random weights on [0.85, 1] are supercritical even at n=3."""
+    rng = np.random.default_rng(n)
+    for alpha in (0.3, 0.5, 0.7):
+        for w in (np.linspace(0.5, 1.0, n), rng.uniform(0.5, 1.0, n), rng.uniform(0.85, 1.0, n)):
+            outer = np.outer(w, w)
+            np.fill_diagonal(outer, 0.0)
+            beta = float(w.min()) ** 2  # the floor of the dense twin's w_i w_j
+            yield (
+                ModelSpec(n=n, alpha=alpha, beta=beta, weights=RankOneWeights(w)),
+                ModelSpec(n=n, alpha=alpha, beta=beta, weights=DenseWeights(outer)),
+            )
+
+
+@pytest.mark.parametrize("n", RANK_ONE_SIZES)
+def test_rank_one_power_sums_equal_dense_path(n):
+    supercritical = 0
+    for rank1, dense in _rank_one_models(n):
+        # the dense twin has the rank-one model's pair probabilities bit for bit
+        assert np.array_equal(dense.mu_matrix, rank1.mu_matrix)
+        pairs = [(v_components(rank1)[0], v_components(dense)[0]),
+                 (mean_t_leading(rank1), mean_t_leading(dense))]
+        if rank1.mu.min() > 1.0:
+            supercritical += 1
+            pairs += zip(sigma_components(rank1), sigma_components(dense))
+            pairs.append((mean_cc_approx(rank1), mean_cc_approx(dense)))
+            got, want = theoretical_moments(rank1), theoretical_moments(dense)
+            pairs += [
+                (getattr(got, f.name), getattr(want, f.name))
+                for f in dataclasses.fields(got)
+                if f.name != "v2_sq"
+            ]
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=1e-12)
+    assert supercritical
+
+
+@pytest.mark.parametrize("n", RANK_ONE_SIZES)
+def test_rank_one_v2_matches_extended_precision(n):
+    # delta = gamma - (eta_i + eta_j)/2 cancels; the dense path is off by up
+    # to about 4e-12 here as well
+    for rank1, _ in _rank_one_models(n):
+        want = reference.v2_longdouble(rank1.mu_matrix)
+        assert v_components(rank1)[1] == pytest.approx(want, rel=5e-11)
+
+
+def test_rank_one_expected_triangles_match_oracle(rng):
+    for n in (5, 6):
+        w = rng.uniform(0.4, 1.0, n)
+        m = ModelSpec(n=n, alpha=0.3, beta=0.4, weights=RankOneWeights(w))
+        exact = enumerate_moments(m).exact_et
+        assert np.max(np.abs(theory._rank_one_et(m, w) - exact)) < 1e-12
+
+
+def test_v2_longdouble_matches_literal_sums(rng):
+    w = rng.uniform(0.5, 1.0, 8)
+    rank1 = ModelSpec(n=8, alpha=0.3, beta=0.5, weights=RankOneWeights(w))
+    for m in (random_dense_model(9, rng), rank1):
+        mu = np.asarray(m.mu_matrix)
+        assert reference.v2_longdouble(mu) == pytest.approx(reference.v2_direct(mu), rel=1e-12)
+
+
+def _column_loop_a_all(model):
+    """All-nodes degree law stepping through the strided columns of mu_matrix."""
+    m = model.mu_matrix
+    k = _support_width(float(model.mu.max()), model.n)
+    pmf = np.zeros((k + 1, model.n))
+    pmf[0] = 1.0
+    shifted = np.empty((k, model.n))
+    for q in m.T:
+        np.multiply(pmf[:-1], q, out=shifted)
+        pmf *= 1.0 - q
+        pmf[1:] += shifted
+    return np.array([a_coeff_from_pmf(col) for col in pmf.T])
+
+
+@pytest.mark.parametrize("n, alpha", [(40, 0.3), (300, 0.3), (300, 0.7)])
+def test_all_nodes_degree_law_equals_column_loop(n, alpha, rng):
+    rank1 = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=RankOneWeights(rng.uniform(0.5, 1.0, n)))
+    for m in (rank1, random_dense_model(n, rng, alpha=alpha)):
+        assert np.array_equal(theory._a_all(m), _column_loop_a_all(m))
+
+
+def test_rank_one_moments_same_bytes_under_one_and_two_blas_threads():
+    script = (
+        "import numpy as np\n"
+        "from hetclust.model import ModelSpec, RankOneWeights\n"
+        "from hetclust.theory import theoretical_moments\n"
+        "w = np.linspace(0.5, 1.0, 300)\n"
+        "m = ModelSpec(n=300, alpha=0.4, beta=0.5, weights=RankOneWeights(w))\n"
+        "print(repr(theoretical_moments(m)))\n"
+    )
+    src = str(Path(theory.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
 
 
 def test_sigma2_near_closed_form_sub_half():
