@@ -15,7 +15,6 @@ from .model import (
     ConstantWeights,
     ModelSpec,
     RankOneWeights,
-    _off_diagonal,
     _require_valid,
     _weights_from_dict,
     model_from_json,
@@ -47,11 +46,10 @@ def _default_beta(weights, n: int) -> float:
         return weights.c
     if isinstance(weights, RankOneWeights):
         return float(weights.w.min())
-    w = weights.matrix_values
-    if w.shape != (n, n):
+    if weights.matrix_values.shape != (n, n):
         # any valid floor: the model's shape violation is the one error
         return 1.0
-    return float(_off_diagonal(w).min())
+    return weights.pair_range(n)[0]
 
 
 def _model_from_args(args) -> ModelSpec:

@@ -64,25 +64,28 @@ over distinct ordered triples of a product x_i y_j z_k,
 
 with X, Y, Z the sums of x, y, z: O(n) power sums of w, weighted by a,
 1/mu^2 or (2 mu - 1)/(mu^2 (mu - 1)^2), in place of the O(n^3)
-products.  sigma1_sq takes (a_i + a_j + a_k)^2 as 3 a_i^2 + 6 a_i a_j
-by symmetry; E[t_i] = p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)] with
-S_k = sum of w^k.  The pair sums of sigma2_sq and v2_sq are O(n^2) elementwise, from
+products.  The constants come from power sums too: E[t_i] = p^3 w_i^2
+[(S2 - w_i^2)^2 - (S4 - w_i^4)] with S_k = sum of w^k,
 d_ij = p^2 w_i w_j (S2 - w_i^2 - w_j^2), c_ij = p^2 w_i w_j
 (sum a w^2 - a_i w_i^2 - a_j w_j^2), gamma_ij = q_i q_j (T - r_i - r_j)
 and eta_i = p q_i^2 [(T - r_i)^2 - (sum r^2 - r_i^2)], where q = p w / mu,
-r = w^2 / mu and T = sum of r; mu_i is the model's own row sum `mu`.
-Every sum is a numpy reduction of an elementwise product, never a BLAS
-product, so these numbers do not depend on the BLAS thread count.  All
-agree with the dense path to about 1e-14 relative, except v2_sq: delta =
-gamma - (eta_i + eta_j)/2 is a small difference of nearly equal terms
-(it vanishes under constant weights).  The dense path forms it so and
-loses about 2 log10(n) digits: against an extended-precision evaluation
-of the defining sums it is off by up to 4e-12 relative at n = 300.  The
+r = w^2 / mu, T = sum of r and mu_i is the model's own row sum `mu`.
+`expected_ti_all`, `clustering_constants` and `triangle_constants` are
+the one source of these arrays for every weight kind; the pair sums of
+sigma2_sq and v2_sq (and the decomposition's linear terms) read them,
+and only the triple sums and the mean's path sum depend on the kind.
+For rank-one weights all of it is numpy reductions of elementwise
+products and one dot product of two n-vectors, never a matrix product,
+so the bytes were the same at one and two BLAS threads.  All agree with
+the dense path to about 1e-14 relative, except delta = gamma - (eta_i +
+eta_j)/2, a small difference of nearly equal terms (it vanishes under
+constant weights).  The dense path forms it so and loses about
+2 log10(n) digits: against an extended-precision evaluation of the
+defining sums its v2_sq is off by up to 4e-12 relative at n = 300.  The
 rank-one path expands delta around pT = 1, with 1 - pT taken by
-`math.fsum` (`_rank_one_v`), and was off by at most 3.2e-13 for
-n <= 500, w in [0.3, 1] and alpha in [0.3, 0.7]; the tests bound it by
-5e-11.  The degree law, `clustering_constants` and `triangle_constants` stay on
-`mu_matrix` for every non-constant model.
+`math.fsum`; its v2_sq was off by at most 3.2e-13 for n <= 500, w in
+[0.3, 1] and alpha in [0.3, 0.7], and the tests bound it by 5e-11.  The
+degree law stays on `mu_matrix` for every non-constant model.
 
 Asymptotically, for c = 1,
 
@@ -200,9 +203,15 @@ def _a_all(model: ModelSpec) -> np.ndarray:
 
 
 def expected_ti_all(model: ModelSpec) -> np.ndarray:
-    """E[t_i] = sum over ordered pairs (j, k) of mu_ij mu_jk mu_ki, every i."""
-    m = model.mu_matrix
-    return ((m @ m) * m).sum(axis=1)
+    """E[t_i] = sum over ordered pairs (j, k) of mu_ij mu_jk mu_ki, every i;
+    for rank-one weights p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)], S_k = sum of w^k."""
+    w = _rank_one_weights(model)
+    if w is None:
+        m = model.mu_matrix
+        return ((m @ m) * m).sum(axis=1)
+    w2 = w * w
+    w4 = w2 * w2
+    return model.p**3 * w2 * ((float(w2.sum()) - w2) ** 2 - (float(w4.sum()) - w4))
 
 
 def _require_supercritical(model: ModelSpec) -> None:
@@ -239,17 +248,37 @@ def _pair_variance(model: ModelSpec) -> np.ndarray:
 
 
 def clustering_constants(model: ModelSpec) -> ClusteringConstants:
-    """All clustering variance constants, as full vectors and matrices."""
+    """All clustering variance constants, as full vectors and matrices.
+
+    Rank-one weights take c, d and E[t_i] from power sums of w; other
+    weights take them from matrix products.
+    """
     _require_supercritical(model)
-    m = model.mu_matrix
-    a, dsum = _a_all(model), m @ m
-    et = (dsum * m).sum(axis=1)  # expected_ti_all, from the one product
+    a = _a_all(model)
+    w = _rank_one_weights(model)
+    if w is None:
+        m = model.mu_matrix
+        dsum = m @ m
+        et = (dsum * m).sum(axis=1)  # expected_ti_all, from the one product
+        c = m @ (a[:, None] * m)
+    else:
+        # sum over k not in {i, j} of y_k mu_ki mu_kj = pw_i pw_j (X - x_i - x_j),
+        # pw = p w, x = y w^2 and X = sum of x; y = a gives c, y = 1 gives d
+        pw = model.p * w
+        c, dsum = (np.subtract.outer(float(x.sum()) - x, x) for x in (a * w * w, w * w))
+        for x in (c, dsum):
+            x *= np.multiply.outer(pw, pw)
+        et = expected_ti_all(model)
     b = _b_from(et, model.mu)
-    c = m @ (a[:, None] * m)
-    e = 2.0 * c + 2.0 * (a[:, None] + a[None, :]) * dsum - b[:, None] - b[None, :]
-    np.fill_diagonal(c, 0.0)
-    np.fill_diagonal(dsum, 0.0)
-    np.fill_diagonal(e, 0.0)
+    # e_ij = 2 (c_ij + (a_i + a_j) d_ij) - b_i - b_j, built in place
+    e = np.add.outer(a, a)
+    e *= dsum
+    e += c
+    e *= 2.0
+    e -= b[:, None]
+    e -= b[None, :]
+    for x in (c, dsum, e):
+        np.fill_diagonal(x, 0.0)
     return ClusteringConstants(a=a, b=b, c=c, dsum=dsum, e=e, et=et)
 
 
@@ -284,17 +313,13 @@ def sigma_components(model: ModelSpec) -> tuple[float, float]:
 
     Constant weights take a closed form: every pair has the probability
     p*c, so one representative triple and pair term is scaled by the
-    number of triples and pairs.  Rank-one weights take power sums of w
-    (`_rank_one_sigma`).  The same model built with `DenseWeights` takes
-    the generic sums over `clustering_constants`.
+    number of triples and pairs.  Other weights take the sums over the
+    a and e of `clustering_constants`.
     """
     _require_supercritical(model)
     n = model.n
     scalars = _constant_clustering_scalars(model)
     if scalars is None:
-        w = _rank_one_weights(model)
-        if w is not None:
-            return _rank_one_sigma(model, w, _a_all(model))
         cc = clustering_constants(model)
         a, e = cc.a, cc.e
         del cc  # free c and d before the n x n temporaries of the sums
@@ -307,17 +332,28 @@ def sigma_components(model: ModelSpec) -> tuple[float, float]:
 
 
 def _sigma_sums(model: ModelSpec, a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """The triple and pair sums of `sigma_components` over its constants a and e."""
+    """The triple and pair sums of `sigma_components` over its constants a
+    and e.  Rank-one weights take the triple sum from power sums of w."""
     n = model.n
     f = _pair_variance(model)
     sigma2 = (0.5 / n**2) * float((e**2 * f).sum())
-    f2 = f @ f
-    diag_f3 = (f2 * f).sum(axis=1)
-    # (a_i f_ij) f2_ij a_j, one n x n temporary
-    f *= a[:, None]
-    f *= f2
-    f *= a[None, :]
-    triple = 0.5 * float(a**2 @ diag_f3) + float(f.sum())
+    w = _rank_one_weights(model)
+    if w is not None:
+        # over ordered triples, (a_i + a_j + a_k)^2 counts as 3 a_i^2 + 6 a_i a_j
+        # by symmetry; a third of that sum is twice the sum over i < j < k
+        a2 = a * a
+        triple = 0.5 * sum(
+            c * (_d3(a2 * x, y, z) + 2.0 * _d3(a * x, a * y, z))
+            for c, x, y, z in _triple_terms(model, w)
+        )
+    else:
+        f2 = f @ f
+        diag_f3 = (f2 * f).sum(axis=1)
+        # (a_i f_ij) f2_ij a_j, one n x n temporary
+        f *= a[:, None]
+        f *= f2
+        f *= a[None, :]
+        triple = 0.5 * float(a**2 @ diag_f3) + float(f.sum())
     return (4.0 / n**2) * triple, sigma2
 
 
@@ -335,21 +371,56 @@ class TriangleConstants:
 
 
 def triangle_constants(model: ModelSpec) -> TriangleConstants:
-    m = model.mu_matrix
+    """eta, gamma and delta_ij = gamma_ij - (eta_i + eta_j)/2, zero diagonals.
+
+    Rank-one weights take power sums of w; other weights take matrix
+    products and form delta from gamma and eta as written.
+    """
     mu = model.mu
-    num = m @ ((1.0 / mu)[:, None] * m)  # num_ij = sum_k mu_ik mu_kj / mu_k
-    gamma = num / np.outer(mu, mu)
+    w = _rank_one_weights(model)
+    if w is None:
+        m = model.mu_matrix
+        num = m @ ((1.0 / mu)[:, None] * m)  # num_ij = sum_k mu_ik mu_kj / mu_k
+        gamma = num / np.outer(mu, mu)
+        scaled = m / mu[None, :]  # scaled_ij = mu_ij / mu_j
+        path2 = scaled @ m
+        eta = (path2 * scaled).sum(axis=1) / mu**2
+        if model.is_homogeneous:
+            # gamma_ij = eta_i = eta_j in exact arithmetic; computed, they differ by rounding
+            np.fill_diagonal(gamma, 0.0)
+            return TriangleConstants(eta=eta, gamma=gamma, delta=np.zeros_like(gamma))
+        # delta_ij = gamma_ij - (eta_i + eta_j)/2, built in place to hold one n x n temporary
+        delta = np.add.outer(eta, eta)
+        delta *= -0.5
+        delta += gamma
+    else:
+        # with q = p w / mu, r = w^2 / mu, T = sum of r and R2 = sum of r^2,
+        #   gamma_ij = q_i q_j (T - r_i - r_j), eta_i = p q_i^2 [(T - r_i)^2 - (R2 - r_i^2)],
+        #   delta_ij = -(p/2) (s_i - s_j)^2 + (p/2) (h_i + h_j)
+        #              + q_i q_j [(1 - pT)(T - r_i - r_j) - p r_i r_j],
+        # s = q (T - r), h = q^2 (R2 - r^2); pT = 1 + O(1/n), so 1 - pT is taken by fsum
+        p = model.p
+        q = p * w / mu
+        r = w * w / mu
+        t, r2 = float(r.sum()), float((r * r).sum())
+        eta = p * q * q * ((t - r) ** 2 - (r2 - r * r))
+        s = q * (t - r)
+        delta = np.subtract.outer(s, s)
+        delta *= delta
+        delta *= -0.5 * p
+        h = 0.5 * p * q * q * (r2 - r * r)
+        delta += np.add.outer(h, h)
+        gamma = np.subtract.outer(t - r, r)
+        cross = gamma * math.fsum([1.0, *(-p * r).tolist()])
+        rr = np.multiply.outer(r, r)
+        rr *= p
+        cross -= rr
+        del rr  # one n x n array fewer while q_i q_j is alive
+        qq = np.multiply.outer(q, q)
+        cross *= qq
+        delta += cross
+        gamma *= qq
     np.fill_diagonal(gamma, 0.0)
-    scaled = m / mu[None, :]  # scaled_ij = mu_ij / mu_j
-    path2 = scaled @ m
-    eta = (path2 * scaled).sum(axis=1) / mu**2
-    if model.is_homogeneous:
-        # gamma_ij = eta_i = eta_j in exact arithmetic; computed, they differ by rounding
-        return TriangleConstants(eta=eta, gamma=gamma, delta=np.zeros_like(gamma))
-    # delta_ij = gamma_ij - (eta_i + eta_j)/2, built in place to hold one n x n temporary
-    delta = np.add.outer(eta, eta)
-    delta *= -0.5
-    delta += gamma
     np.fill_diagonal(delta, 0.0)
     return TriangleConstants(eta=eta, gamma=gamma, delta=delta)
 
@@ -367,8 +438,9 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (v1_sq, v2_sq) for the weighted triangle sum.
 
     Under constant weights delta vanishes identically, so v2_sq is 0
-    exactly and the closed form returns it as such.  Rank-one weights take
-    power sums of w (`_rank_one_v`).
+    exactly and the closed form returns it as such.  Other weights take
+    v2_sq over the delta of `triangle_constants`; rank-one weights take
+    v1_sq from power sums of w.
     """
     n = model.n
     mu_pair = _constant_pair(model)
@@ -377,14 +449,17 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
         f = mu_pair * (1.0 - mu_pair)
         v1 = comb(n, 3) * f**3 / mu**6
         return v1, 0.0
-    w = _rank_one_weights(model)
-    if w is not None:
-        return _rank_one_v(model, w)
-    mu = model.mu
+    delta = triangle_constants(model).delta
     f = _pair_variance(model)
+    v2 = 0.5 * float((delta**2 * f).sum())
+    del delta
+    mu, w = model.mu, _rank_one_weights(model)
+    if w is not None:
+        inv2 = 1.0 / (mu * mu)
+        terms = _triple_terms(model, w)
+        return sum(c * _d3(x * inv2, y * inv2, z * inv2) for c, x, y, z in terms) / 6.0, v2
     g = f / np.outer(mu, mu)
     v1 = float(((g @ g) * g).sum()) / 6.0
-    v2 = 0.5 * float((triangle_constants(model).delta ** 2 * f).sum())
     return v1, v2
 
 
@@ -402,32 +477,36 @@ def mean_cc_approx(model: ModelSpec) -> float:
     at small n the second term is not a small correction.
     """
     _require_supercritical(model)
-    w = _rank_one_weights(model)
-    if w is not None:
-        return _rank_one_mean_cc(model, w, _a_all(model))
     return _mean_cc(model, _a_all(model), expected_ti_all(model))
 
 
 def _mean_cc(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> float:
-    n = model.n
-    m = model.mu_matrix
-    mu = model.mu
+    n, mu = model.n, model.mu
     term1 = float(et @ a) / n
     g = (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
-    f = _pair_variance(model)
-    diag_fmm = ((f @ m) * m).sum(axis=1)
-    term2 = (2.0 / n) * float(g @ diag_fmm)
+    w = _rank_one_weights(model)
+    if w is not None:
+        # f_ij mu_ik mu_jk is the sum of c_s p^2 w_i^(s+1) w_j^(s+1) w_k^2
+        terms = _pair_variance_terms(model)
+        paths = sum(c * _d3(g * w ** (s + 1), w ** (s + 1), w * w) for s, c in terms)
+        term2 = (2.0 / n) * model.p * model.p * paths
+    else:
+        m = model.mu_matrix
+        diag_fmm = ((_pair_variance(model) @ m) * m).sum(axis=1)
+        term2 = (2.0 / n) * float(g @ diag_fmm)
     return term1 - term2
 
 
 def mean_t_leading(model: ModelSpec) -> float:
     """Leading term of E[weighted triangle sum]:
     sum_{i<j<k} mu_ij mu_jk mu_ki / (mu_i mu_j mu_k).  Diagnostic only;
-    the full expectation has no closed form at finite n.
+    the full expectation has no closed form at finite n.  Rank-one weights
+    take (p^3 / 6) D3(r, r, r), r = w^2 / mu.
     """
     w = _rank_one_weights(model)
     if w is not None:
-        return _rank_one_mean_t(model, w)
+        r = w * w / model.mu
+        return model.p**3 * _d3(r, r, r) / 6.0
     m = model.mu_matrix
     mu = model.mu
     h = m / np.sqrt(np.outer(mu, mu))
@@ -507,84 +586,6 @@ def _triple_terms(model: ModelSpec, w: np.ndarray):
         yield cs * ct * cu, w ** (s + u), w ** (s + t), w ** (t + u)
 
 
-def _rank_one_et(model: ModelSpec, w: np.ndarray) -> np.ndarray:
-    """E[t_i] = p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)], S_k = sum of w^k."""
-    w2 = w * w
-    w4 = w2 * w2
-    return model.p**3 * w2 * ((float(w2.sum()) - w2) ** 2 - (float(w4.sum()) - w4))
-
-
-def _rank_one_sigma(model: ModelSpec, w: np.ndarray, a: np.ndarray) -> tuple[float, float]:
-    """(sigma1_sq, sigma2_sq) of `sigma_components` for rank-one weights."""
-    n, p, mu = model.n, model.p, model.mu
-    # the triple sum is symmetric in (i, j, k), so (a_i + a_j + a_k)^2 counts
-    # as 3 a_i^2 + 6 a_i a_j
-    a2 = a * a
-    triple = sum(
-        c * (_d3(a2 * x, y, z) + 2.0 * _d3(a * x, a * y, z))
-        for c, x, y, z in _triple_terms(model, w)
-    )
-    w2 = w * w
-    aw2 = a * w2
-    b = _b_from(_rank_one_et(model, w), mu)
-    # e_ij = 2 c_ij + 2 (a_i + a_j) d_ij - b_i - b_j with
-    #   c_ij = p^2 w_i w_j (sum a w^2 - a_i w_i^2 - a_j w_j^2),
-    #   d_ij = p^2 w_i w_j (S2 - w_i^2 - w_j^2)
-    e = np.subtract.outer(float(aw2.sum()) - aw2, aw2)
-    e += np.add.outer(a, a) * np.subtract.outer(float(w2.sum()) - w2, w2)
-    pw = p * w
-    e *= 2.0 * np.multiply.outer(pw, pw)
-    e -= np.add.outer(b, b)
-    sigma2 = (0.5 / n**2) * float((e**2 * _pair_variance(model)).sum())
-    return (2.0 / n**2) * triple, sigma2
-
-
-def _rank_one_v(model: ModelSpec, w: np.ndarray) -> tuple[float, float]:
-    """(v1_sq, v2_sq) of `v_components` for rank-one weights."""
-    p, mu = model.p, model.mu
-    inv2 = 1.0 / (mu * mu)
-    triple = sum(c * _d3(x * inv2, y * inv2, z * inv2) for c, x, y, z in _triple_terms(model, w))
-    # gamma_ij = q_i q_j (T - r_i - r_j) and eta_i = p q_i^2 [(T - r_i)^2 - (R2 - r_i^2)],
-    # with q = p w / mu, r = w^2 / mu, T = sum of r and R2 = sum of r^2, give
-    #   delta_ij = -(p/2) (s_i - s_j)^2 + (p/2) (h_i + h_j)
-    #              + q_i q_j [(1 - pT)(T - r_i - r_j) - p r_i r_j],
-    # s = q (T - r), h = q^2 (R2 - r^2); pT = 1 + O(1/n), so 1 - pT is taken by fsum
-    q = p * w / mu
-    r = w * w / mu
-    t, r2 = float(r.sum()), float((r * r).sum())
-    one_minus_pt = math.fsum([1.0, *(-p * r).tolist()])
-    s = q * (t - r)
-    delta = np.subtract.outer(s, s)
-    delta *= delta
-    delta *= -0.5 * p
-    h = 0.5 * p * q * q * (r2 - r * r)
-    delta += np.add.outer(h, h)
-    cross = np.subtract.outer(t - r, r)
-    cross *= one_minus_pt
-    cross -= p * np.multiply.outer(r, r)
-    cross *= np.multiply.outer(q, q)
-    delta += cross
-    v2 = 0.5 * float((delta**2 * _pair_variance(model)).sum())
-    return triple / 6.0, v2
-
-
-def _rank_one_mean_cc(model: ModelSpec, w: np.ndarray, a: np.ndarray) -> float:
-    """`mean_cc_approx` for rank-one weights, where f_ij mu_ik mu_jk is the
-    sum of c_s p^2 w_i^(s+1) w_j^(s+1) w_k^2."""
-    n, p, mu = model.n, model.p, model.mu
-    term1 = float((_rank_one_et(model, w) * a).sum()) / n
-    g = (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
-    w2 = w * w
-    paths = sum(c * _d3(g * w ** (s + 1), w ** (s + 1), w2) for s, c in _pair_variance_terms(model))
-    return term1 - (2.0 / n) * p * p * paths
-
-
-def _rank_one_mean_t(model: ModelSpec, w: np.ndarray) -> float:
-    """`mean_t_leading` for rank-one weights: (p^3 / 6) D3(r, r, r), r = w^2 / mu."""
-    r = w * w / model.mu
-    return model.p**3 * _d3(r, r, r) / 6.0
-
-
 # ---------------------------------------------------------------------------
 # aggregate
 
@@ -608,16 +609,14 @@ def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
     _require_supercritical(model)
     # v first: its n x n temporaries set the peak, so no clustering constant is alive then
     v1, v2 = v_components(model)
-    w = _rank_one_weights(model)
     # otherwise one degree law (the dominant cost) serves sigma and the mean
     if model.is_homogeneous:
         (s1, s2), mean_cc = sigma_components(model), mean_cc_approx(model)
-    elif w is not None:
-        a = _a_all(model)
-        (s1, s2), mean_cc = _rank_one_sigma(model, w, a), _rank_one_mean_cc(model, w, a)
     else:
         cc = clustering_constants(model)
-        (s1, s2), mean_cc = _sigma_sums(model, cc.a, cc.e), _mean_cc(model, cc.a, cc.et)
+        a, e, et = cc.a, cc.e, cc.et
+        del cc  # free c and d before the n x n temporaries of the sums
+        (s1, s2), mean_cc = _sigma_sums(model, a, e), _mean_cc(model, a, et)
     return TheoreticalMoments(
         sigma1_sq=s1,
         sigma2_sq=s2,

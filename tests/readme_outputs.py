@@ -45,6 +45,8 @@ RANK_ONE_COMMANDS = [
     "hetclust theory --n 500 --alpha 0.7 --weights rank1:grid:0.5,1",
     "hetclust decompose --n 200 --alpha 0.3 --weights rank1:grid:0.5,1 --stat triangles"
     " --replicates 200 --seed 2 --out d.csv",
+    "hetclust decompose --n 200 --alpha 0.3 --weights rank1:grid:0.5,1 --stat clustering"
+    " --replicates 200 --seed 2 --out dc.csv",
     "hetclust mc --n 200 --alpha 0.6 --weights rank1:grid:0.5,1 --stat triangles"
     " --replicates 200 --seed 2 --out r.csv",
 ]

@@ -148,8 +148,9 @@ def v2_direct(mu: np.ndarray) -> float:
     return total
 
 
-def v2_longdouble(mu: np.ndarray) -> float:
-    """`v2_direct` in extended precision (np.longdouble), for mid n.
+def delta_longdouble(mu: np.ndarray) -> np.ndarray:
+    """delta_ij = gamma_ij - (eta_i + eta_j)/2 in extended precision
+    (np.longdouble, zero diagonal), for mid n.
 
     The sums run in vectorized long-double arithmetic instead of Python
     loops: gamma_ij = sum_k mu_ik mu_kj / mu_k over mu_i mu_j (the zero
@@ -164,7 +165,14 @@ def v2_longdouble(mu: np.ndarray) -> float:
     np.fill_diagonal(gamma, 0)
     eta = (m * gamma).sum(axis=1) / mi
     delta = gamma - (eta[:, None] + eta[None, :]) / 2
-    return float(np.triu(delta**2 * m * (1 - m), 1).sum())
+    np.fill_diagonal(delta, 0)
+    return delta
+
+
+def v2_longdouble(mu: np.ndarray) -> float:
+    """`v2_direct` in extended precision, over `delta_longdouble`."""
+    m = np.asarray(mu, dtype=np.longdouble)
+    return float(np.triu(delta_longdouble(mu) ** 2 * m * (1 - m), 1).sum())
 
 
 def mean_t_leading_direct(mu: np.ndarray) -> float:

@@ -30,6 +30,7 @@ from hetclust.model import DenseWeights, ModelSpec, RankOneWeights, validate
 from hetclust.sampling import Graph, SeedSpec, sample_graph
 
 from conftest import er_model, random_dense_model
+import reference
 
 
 # ---------------------------------------------------------------------------
@@ -585,3 +586,16 @@ def test_decomposition_linear_term_rank_one_matches_literal():
             cubic, linear = _leading_terms_literal(m, 4242, r, STAT_TRIANGLES)
             expect = linear if alpha < 0.5 else cubic + linear
             assert rep.leading[r] == pytest.approx(expect, rel=1e-10, abs=1e-14)
+
+
+def test_rank_one_triangle_linear_term_matches_extended_precision():
+    # the linear term is 0.5 sum of delta_ij b_ij; with delta formed as
+    # gamma - (eta_i + eta_j)/2 it was off by up to 2e-9 relative here
+    n = 200
+    m = ModelSpec(n=n, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1.0, n)))
+    rep = decomposition_check(m, STAT_TRIANGLES, 20, master_seed=2, workers=1)
+    delta = reference.delta_longdouble(m.mu_matrix)
+    mu = np.asarray(m.mu_matrix, dtype=np.longdouble)
+    for r in range(20):
+        b = sample_graph(m, SeedSpec(2, r)).adjacency_dense().astype(np.longdouble) - mu
+        assert rep.leading[r] == pytest.approx(float((delta * b).sum() / 2), rel=1e-10, abs=0)

@@ -320,6 +320,16 @@ def test_rank_one_power_sums_equal_dense_path(n):
             ]
         for got, want in pairs:
             assert got == pytest.approx(want, rel=1e-12)
+        # every constant array but delta, which the dense path forms with cancellation
+        tc, tc_dense = triangle_constants(rank1), triangle_constants(dense)
+        arrays = [(expected_ti_all(rank1), expected_ti_all(dense)),
+                  (tc.eta, tc_dense.eta), (tc.gamma, tc_dense.gamma)]
+        if rank1.mu.min() > 1.0:
+            cc, cc_dense = clustering_constants(rank1), clustering_constants(dense)
+            arrays += [(getattr(cc, f.name), getattr(cc_dense, f.name))
+                       for f in dataclasses.fields(cc)]
+        for got, want in arrays:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert supercritical
 
 
@@ -332,12 +342,21 @@ def test_rank_one_v2_matches_extended_precision(n):
         assert v_components(rank1)[1] == pytest.approx(want, rel=5e-11)
 
 
+def test_rank_one_delta_matches_extended_precision():
+    # the dense path's delta = gamma - (eta_i + eta_j)/2 is off by about 8e-11
+    # of max |delta| here
+    w = np.linspace(0.5, 1.0, 200)
+    m = ModelSpec(n=200, alpha=0.3, beta=0.5, weights=RankOneWeights(w))
+    want = reference.delta_longdouble(m.mu_matrix)
+    assert np.max(np.abs(triangle_constants(m).delta - want)) <= 1e-11 * np.max(np.abs(want))
+
+
 def test_rank_one_expected_triangles_match_oracle(rng):
     for n in (5, 6):
         w = rng.uniform(0.4, 1.0, n)
         m = ModelSpec(n=n, alpha=0.3, beta=0.4, weights=RankOneWeights(w))
         exact = enumerate_moments(m).exact_et
-        assert np.max(np.abs(theory._rank_one_et(m, w) - exact)) < 1e-12
+        assert np.max(np.abs(expected_ti_all(m) - exact)) < 1e-12
 
 
 def test_v2_longdouble_matches_literal_sums(rng):
@@ -370,13 +389,18 @@ def test_all_nodes_degree_law_equals_column_loop(n, alpha, rng):
 
 
 def test_rank_one_moments_same_bytes_under_one_and_two_blas_threads():
+    # the moments and every constant array that --dump-constants writes
     script = (
+        "import hashlib\n"
         "import numpy as np\n"
         "from hetclust.model import ModelSpec, RankOneWeights\n"
-        "from hetclust.theory import theoretical_moments\n"
+        "from hetclust.theory import moments_to_json, theoretical_moments\n"
         "w = np.linspace(0.5, 1.0, 300)\n"
         "m = ModelSpec(n=300, alpha=0.4, beta=0.5, weights=RankOneWeights(w))\n"
-        "print(repr(theoretical_moments(m)))\n"
+        "moments = theoretical_moments(m)\n"
+        "print(repr(moments))\n"
+        "text = moments_to_json(m, moments, include_constants=True)\n"
+        "print(hashlib.sha256(text.encode()).hexdigest())\n"
     )
     src = str(Path(theory.__file__).resolve().parents[1])
     out = []
