@@ -43,6 +43,7 @@ RANK_ONE_COMMANDS = [
     "hetclust theory --n 300 --alpha 0.4 --weights rank1:grid:0.5,1 --dump-constants --out c.json",
     "hetclust theory --n 200 --alpha 0.3 --weights rank1:grid:0.3,1",
     "hetclust theory --n 500 --alpha 0.7 --weights rank1:grid:0.5,1",
+    "hetclust theory --n 3000 --alpha 0.3 --weights rank1:grid:0.5,1",
     "hetclust decompose --n 200 --alpha 0.3 --weights rank1:grid:0.5,1 --stat triangles"
     " --replicates 200 --seed 2 --out d.csv",
     "hetclust decompose --n 200 --alpha 0.3 --weights rank1:grid:0.5,1 --stat clustering"

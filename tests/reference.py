@@ -175,6 +175,33 @@ def v2_longdouble(mu: np.ndarray) -> float:
     return float(np.triu(delta_longdouble(mu) ** 2 * m * (1 - m), 1).sum())
 
 
+def a_coeff_mp(mu_row: np.ndarray, dps: int = 40) -> float:
+    """E[1/(d(d-1))] over d >= 2 for the degree d = sum of independent
+    Bernoulli(mu_row[j]), from the convolution of the PMF in `dps`-digit
+    mpmath arithmetic, for mid n.
+
+    The PMF is kept on {0, ..., m} with m = min(len(mu_row),
+    ceil(mu + 20 sqrt(mu) + 50)), mu = sum of mu_row; mass only moves
+    upward, so the kept entries are those of the full convolution, and the
+    dropped mass P(d > m) <= e^(-mu) (e mu / m)^m lies far below 10^-dps
+    for the rows the tests use.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        probs = [mpmath.mpf(float(q)) for q in mu_row if q != 0.0]
+        mu = float(sum(probs))
+        width = min(len(probs), math.ceil(mu + 20.0 * math.sqrt(mu) + 50.0))
+        pmf = [mpmath.mpf(1)] + [mpmath.mpf(0)] * width
+        for step, q in enumerate(probs):
+            stay = 1 - q
+            for d in range(min(step + 1, width), 0, -1):
+                pmf[d] = pmf[d] * stay + pmf[d - 1] * q
+            pmf[0] *= stay
+        total = mpmath.fsum(pmf[d] / (d * (d - 1)) for d in range(2, width + 1))
+        return float(total)
+
+
 def mean_t_leading_direct(mu: np.ndarray) -> float:
     n = mu.shape[0]
     mi = mu.sum(axis=1)

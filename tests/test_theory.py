@@ -16,6 +16,7 @@ from hetclust import theory
 from hetclust.theory import (
     _TAIL_BUDGET,
     _degree_pmfs,
+    _rank_one_a,
     _support_width,
     _tail_bound,
     a_coeff,
@@ -139,11 +140,91 @@ def test_truncated_degree_law_matches_full_support(m):
     assert _support_width(float(m.mu.max()), m.n) < m.n // 2
     a = clustering_constants(m).a
     full = np.array([a_coeff_from_pmf(full_degree_pmf(m, i)) for i in range(m.n)])
-    assert np.array_equal(a, full)
+    if isinstance(m.weights, RankOneWeights):
+        # the quadrature, not the truncated convolution
+        assert np.max(np.abs(a - full) / full) <= 1e-12
+    else:
+        assert np.array_equal(a, full)
     for i in np.random.default_rng(3).choice(m.n, size=5, replace=False):
         probs = np.delete(m.mu_matrix[i], i)
         ref = a_coeff_from_pmf(poisson_binom(probs).pmf(np.arange(m.n)))
         assert a[i] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _convolution_a_all(m):
+    """a of every node from the `_degree_pmfs` convolution over `mu_matrix`."""
+    k = _support_width(float(m.mu.max()), m.n)
+    return np.array([a_coeff_from_pmf(pmf) for pmf in _degree_pmfs(m.mu_matrix, k)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 40, 300, 1000])
+def test_rank_one_degree_law_matches_convolution(n):
+    rng = np.random.default_rng(n)
+    for alpha in (0.3, 0.5, 0.7):
+        for w in (np.linspace(0.5, 1.0, n), rng.uniform(0.5, 1.0, n)):
+            m = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=RankOneWeights(w))
+            want = _convolution_a_all(m)
+            assert np.max(np.abs(theory._a_all(m) - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("n, alphas", [(3, (0.3, 0.5, 0.7)), (4, (0.3, 0.5, 0.7)),
+                                       (5, (0.3, 0.5, 0.7)), (6, (0.3, 0.5, 0.7)), (7, (0.5,))])
+def test_rank_one_degree_law_matches_oracle(n, alphas):
+    rng = np.random.default_rng(n)
+    for alpha in alphas:
+        w = rng.uniform(0.5, 1.0, n)
+        m = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=RankOneWeights(w))
+        exact = enumerate_moments(m).exact_a
+        assert np.max(np.abs(theory._a_all(m) - exact) / exact) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rank_one_degree_law_near_saturation(n):
+    # p = n^-0.05 > 0.92 and two weights at 1: mu_max = p, so the series of
+    # log G needs hundreds of terms
+    w = np.concatenate([np.linspace(0.6, 0.9, n - 2), [1.0, 1.0]])
+    m = ModelSpec(n=n, alpha=0.05, beta=0.5, weights=RankOneWeights(w))
+    assert theory._series_length(m.p, n) > 300
+    a = theory._a_all(m)
+    for want in (_convolution_a_all(m), enumerate_moments(m).exact_a):
+        assert np.max(np.abs(a - want) / want) <= 1e-12
+
+
+def test_a_coeff_equals_all_nodes_degree_law(rng):
+    rank1 = ModelSpec(n=300, alpha=0.5, beta=0.5, weights=RankOneWeights(rng.uniform(0.5, 1.0, 300)))
+    for m in (er_model(40, alpha=0.4), random_dense_model(40, rng), rank1):
+        a = theory._a_all(m)
+        assert [a_coeff(m, i) for i in range(m.n)] == a.tolist()
+
+
+@pytest.mark.parametrize("n, alpha", [(1000, 0.3), (500, 0.7)])
+def test_rank_one_degree_law_matches_40_digit_convolution(n, alpha):
+    m = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1.0, n)))
+    a, conv = theory._a_all(m), _convolution_a_all(m)
+    # the node where quadrature and float convolution differ most, and the largest weight
+    for i in (int(np.argmax(np.abs(a - conv) / conv)), n - 1):
+        assert a[i] == pytest.approx(reference.a_coeff_mp(m.mu_row(i)), rel=1e-13, abs=0.0)
+
+
+def test_rank_one_theory_never_builds_mu_matrix(monkeypatch):
+    # power sums of w, rows and the quadrature: no n x n pair-probability matrix
+    def no_matrix(self):
+        raise AssertionError("mu_matrix built")
+
+    monkeypatch.setattr(ModelSpec, "mu_matrix", property(no_matrix))
+    for alpha in (0.3, 0.5, 0.7):
+        m = ModelSpec(n=2000, alpha=alpha, beta=0.5,
+                      weights=RankOneWeights(np.linspace(0.5, 1.0, 2000)))
+        theoretical_moments(m)
+        sigma_components(m)
+        v_components(m)
+        mean_cc_approx(m)
+        triangle_constants(m)
+        clustering_constants(m)
+        # the JSON of every n x n constant: about 480 MB and 30 s at n = 2000
+        small = ModelSpec(n=300, alpha=alpha, beta=0.5,
+                          weights=RankOneWeights(np.linspace(0.5, 1.0, 300)))
+        moments_to_json(small, theoretical_moments(small), include_constants=True)
 
 
 @pytest.mark.parametrize("mu", [1.01, 2.0, 5.0, 12.0, 58.0, 250.0, 1e4])
@@ -384,8 +465,11 @@ def _column_loop_a_all(model):
 @pytest.mark.parametrize("n, alpha", [(40, 0.3), (300, 0.3), (300, 0.7)])
 def test_all_nodes_degree_law_equals_column_loop(n, alpha, rng):
     rank1 = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=RankOneWeights(rng.uniform(0.5, 1.0, n)))
-    for m in (rank1, random_dense_model(n, rng, alpha=alpha)):
-        assert np.array_equal(theory._a_all(m), _column_loop_a_all(m))
+    # rank-one weights take the quadrature, within rounding of the convolution
+    got, want = theory._a_all(rank1), _column_loop_a_all(rank1)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    dense = random_dense_model(n, rng, alpha=alpha)
+    assert np.array_equal(theory._a_all(dense), _column_loop_a_all(dense))
 
 
 def test_rank_one_moments_same_bytes_under_one_and_two_blas_threads():
@@ -668,12 +752,20 @@ def test_theoretical_moments_evaluates_degree_law_once(rng, monkeypatch):
         rows.append(block.shape[0])
         return _degree_pmfs(block, k)
 
+    quadratures = []
+
+    def counting_quadrature(model, nodes):
+        quadratures.append(len(nodes))
+        return _rank_one_a(model, nodes)
+
     monkeypatch.setattr(theory, "_degree_pmfs", counting)
+    monkeypatch.setattr(theory, "_rank_one_a", counting_quadrature)
     rank1 = ModelSpec(n=50, alpha=0.3, beta=0.5, weights=RankOneWeights(rng.uniform(0.5, 1, 50)))
-    for m in (rank1, random_dense_model(10, rng)):
-        rows.clear()
-        theoretical_moments(m)
-        assert rows == [m.n]  # one all-rows convolution serves sigma and the mean
+    theoretical_moments(rank1)
+    assert rows == [] and quadratures == [rank1.n]  # one all-nodes quadrature
+    dense = random_dense_model(10, rng)
+    theoretical_moments(dense)
+    assert rows == [dense.n] and quadratures == [rank1.n]  # one all-rows convolution
     rows.clear()
     theoretical_moments(er_model(50, alpha=0.3))
     assert rows and set(rows) == {1}  # constant weights read node 0 only
