@@ -37,66 +37,58 @@ and the multiplicative Chernoff bound on the degree mass above it,
 
 which increases in mu below K.  The code evaluates it and keeps K only
 where it is <= 1e-30 (it stays below 6e-32 for every mu_max); elsewhere
-K = n-1 and nothing is dropped.  For constant and dense weights the laws
-of all nodes come from one convolution over the columns of mu on the
-support {0, ..., K}.  Mass only moves upward, so the kept entries equal
-those of the full-support convolution bit for bit, and the truncation
-changes a_i by at most 1e-30 / (K (K+1)).  For rank-one weights a_i is the
-integral over [0, 1] of (1 - x) (G_i(x) - P_i(0) - P_i(1) x) / x^2, with
-G_i the generating function of d_i, taken from the power sums of w
-(`_rank_one_a`).  A Gauss-Legendre rule with K/2 + 2 points is exact on
-the degrees d <= K, and its positive weights, which sum to one, move the
-contribution of the higher degrees by at most P(d_i > K) <= 1e-30.  The
-power series of log G_i keeps L terms, for a dropped tail of at most
-(n-1) mu_max^(L+1) / ((L+1) (1 - mu_max)) <= 1e-17.  The quadrature agrees
-with the convolution to about 3e-14 relative at n <= 1000, and it was the
-closer of the two to a 40-digit convolution.  E[1/(d(d-1))] is
-ill-defined on {d <= 1}; truncating to {d >= 2} matches the
-zero-denominator convention of the statistic itself and the
+K = n-1 and nothing is dropped.  For dense weights the laws of all nodes
+come from one convolution over the columns of mu on the support
+{0, ..., K}, and for constant weights that of node 0 from its row alone.
+Mass only moves upward, so the kept entries equal those of the
+full-support convolution bit for bit, and the truncation changes a_i by
+at most 1e-30 / (K (K+1)).  For rank-one weights a_i is a Gauss-Legendre
+quadrature of the generating function of d_i over the power sums of w
+(`_rank_one_a` states its rule and bounds its error by P(d_i > K) and
+1e-17); it agrees with the convolution to about 3e-14 relative at
+n <= 1000, and was the closer of the two to a 40-digit convolution.
+E[1/(d(d-1))] is ill-defined on {d <= 1}; truncating to {d >= 2}
+matches the zero-denominator convention of the statistic itself and the
 exponentially small low-degree tail.
 
-For dense weights all triple sums are evaluated exactly in O(n^3)
-through matrix products (zero diagonals make the coincidence terms
-vanish identically); they are the reference for the other weight kinds.
-Only this module tells the weight kinds apart.  Under constant weights
-every pair has probability p*c, so `sigma_components` and
-`v_components` each scale one triple and pair term by the counts in one
-closed-form block, delta is exactly 0, and the degree law is that of
-node 0, convolved from its row alone; none of them builds `mu_matrix`.
-`_constant_pair` and `_constant_clustering_scalars` hand those scalars
-(p*c, a and e) to the decomposition's exact leading terms.
-
-Under rank-one weights mu_ij = p w_i w_j, so f_ij = sum_s c_s (w_i w_j)^s
-with c_1 = p, c_2 = -p^2, and every triple sum of the moments is a sum
-over distinct ordered triples of a product x_i y_j z_k,
+Only this module tells the weight kinds apart, and only dense weights
+take matrix products: every triple sum exactly in O(n^3) (zero diagonals
+make the coincidence terms vanish identically), the reference for the
+other kinds.  Constant and rank-one weights are product forms,
+mu_ij = p w_i w_j (`_product_form`; constant weights take p*c and w = 1,
+which keeps the bits of every pair probability), so f_ij = sum_s c_s
+(w_i w_j)^s with c_1 = p, c_2 = -p^2, and every triple sum of the
+moments is a sum over distinct ordered triples of a product x_i y_j z_k,
 
     D3(x, y, z) = XYZ - (sum xy) Z - (sum xz) Y - (sum yz) X + 2 sum xyz,
 
 with X, Y, Z the sums of x, y, z: O(n) power sums of w, weighted by a,
-1/mu^2 or (2 mu - 1)/(mu^2 (mu - 1)^2), in place of the O(n^3)
-products.  The constants come from power sums too: E[t_i] = p^3 w_i^2
-[(S2 - w_i^2)^2 - (S4 - w_i^4)] with S_k = sum of w^k,
-d_ij = p^2 w_i w_j (S2 - w_i^2 - w_j^2), c_ij = p^2 w_i w_j
-(sum a w^2 - a_i w_i^2 - a_j w_j^2), gamma_ij = q_i q_j (T - r_i - r_j)
-and eta_i = p q_i^2 [(T - r_i)^2 - (sum r^2 - r_i^2)], where q = p w / mu,
-r = w^2 / mu, T = sum of r and mu_i is the model's own row sum `mu`.
-`expected_ti_all`, `clustering_constants` and `triangle_constants` are
-the one source of these arrays for every weight kind; the pair sums of
-sigma2_sq and v2_sq (and the decomposition's linear terms) read them,
-and only the triple sums and the mean's path sum depend on the kind.
-For rank-one weights all of it is numpy reductions of elementwise
-products and one dot product of two n-vectors, never a matrix product,
-so the bytes were the same at one and two BLAS threads.  All agree with
-the dense path to about 1e-14 relative, except delta = gamma - (eta_i +
-eta_j)/2, a small difference of nearly equal terms (it vanishes under
-constant weights).  The dense path forms it so and loses about
+1/mu^2 or (2 mu - 1)/(mu^2 (mu - 1)^2).  The constants come from power
+sums too: E[t_i] = p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)] with
+S_k = sum of w^k, d_ij = p^2 w_i w_j (S2 - w_i^2 - w_j^2), c_ij = p^2
+w_i w_j (sum a w^2 - a_i w_i^2 - a_j w_j^2), gamma_ij = q_i q_j (T - r_i
+- r_j) and eta_i = p q_i^2 [(T - r_i)^2 - (sum r^2 - r_i^2)], where
+q = p w / mu, r = w^2 / mu, T = sum of r and mu_i is the model's own row
+sum `mu`.  That is numpy reductions of elementwise products and one dot
+product of two n-vectors, never a matrix product, so the bytes were the
+same at one and two BLAS threads; with f_ij built from w, no product-form
+path builds `mu_matrix`.  `expected_ti_all`, `clustering_constants` and
+`triangle_constants` are the one source of these arrays for every weight
+kind; the pair sums of sigma2_sq and v2_sq (and the decomposition's
+linear terms) read them.  All agree with the dense path to about 1e-14
+relative, except delta = gamma - (eta_i + eta_j)/2, a small difference of
+nearly equal terms.  The dense path forms it so and loses about
 2 log10(n) digits: against an extended-precision evaluation of the
 defining sums its v2_sq is off by up to 4e-12 relative at n = 300.  The
 rank-one path expands delta around pT = 1, with 1 - pT taken by
 `math.fsum`; its v2_sq was off by at most 3.2e-13 for n <= 500, w in
-[0.3, 1] and alpha in [0.3, 0.7], and the tests bound it by 5e-11.  With
-the quadrature for a and f_ij = p w_i w_j (1 - p w_i w_j) built from w,
-no rank-one path builds `mu_matrix`.
+[0.3, 1] and alpha in [0.3, 0.7], and the tests bound it by 5e-11.
+
+Under constant weights every pair has the probability p*c besides, so
+delta is exactly 0, and `sigma_components` and `v_components` each scale
+one triple and pair term by the counts in one closed-form block.
+`_constant_pair` and `_constant_clustering_scalars` hand those scalars
+(p*c, a and e) to the decomposition's exact leading terms.
 
 Asymptotically, for c = 1,
 
@@ -120,7 +112,7 @@ from math import comb
 
 import numpy as np
 
-from .model import ModelSpec, RankOneWeights, _require_valid
+from .model import ConstantWeights, ModelSpec, RankOneWeights, _require_valid
 
 __all__ = [
     "a_coeff",
@@ -198,9 +190,10 @@ def a_coeff(model: ModelSpec, i: int) -> float:
     bits as `_a_all`; other weights convolve row i of the pair
     probabilities alone.  Neither builds an n x n matrix.
     """
+    _require_valid(model)
     if not (0 <= i < model.n):
         raise IndexError(f"node index out of range for n={model.n}")
-    if _rank_one_weights(model) is not None:
+    if isinstance(model.weights, RankOneWeights):
         return float(_rank_one_a(model, np.array([i]))[0])
     k = _support_width(float(model.mu[i]), model.n)
     return a_coeff_from_pmf(_degree_pmfs(model.mu_row(i)[None, :], k)[0])
@@ -331,7 +324,7 @@ def _quadrature_block(u: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.nda
 def _a_all(model: ModelSpec) -> np.ndarray:
     if model.is_homogeneous:
         return np.full(model.n, a_coeff(model, 0))
-    if _rank_one_weights(model) is not None:
+    if isinstance(model.weights, RankOneWeights):
         return _rank_one_a(model, np.arange(model.n))
     k = _support_width(float(model.mu.max()), model.n)
     # mu_matrix is symmetric, so its transpose has the same rows, and the
@@ -343,17 +336,20 @@ def _a_all(model: ModelSpec) -> np.ndarray:
 
 def expected_ti_all(model: ModelSpec) -> np.ndarray:
     """E[t_i] = sum over ordered pairs (j, k) of mu_ij mu_jk mu_ki, every i;
-    for rank-one weights p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)], S_k = sum of w^k."""
-    w = _rank_one_weights(model)
+    for product-form weights p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)], S_k = sum of w^k."""
+    _require_valid(model)
+    p, w = _product_form(model)
     if w is None:
         m = model.mu_matrix
         return ((m @ m) * m).sum(axis=1)
     w2 = w * w
     w4 = w2 * w2
-    return model.p**3 * w2 * ((float(w2.sum()) - w2) ** 2 - (float(w4.sum()) - w4))
+    return p**3 * w2 * ((float(w2.sum()) - w2) ** 2 - (float(w4.sum()) - w4))
 
 
 def _require_supercritical(model: ModelSpec) -> None:
+    """Raise the one-line error of an invalid model, then of a mu_i <= 1."""
+    _require_valid(model)
     low = float(model.mu.min())
     if low <= 1.0:
         raise ValueError(
@@ -379,10 +375,10 @@ class ClusteringConstants:
 
 
 def _pair_variance(model: ModelSpec) -> np.ndarray:
-    """f_ij = mu_ij (1 - mu_ij), zero diagonal.  Rank-one weights take
+    """f_ij = mu_ij (1 - mu_ij), zero diagonal.  Product-form weights take
     mu_ij = p (w_i w_j), the bits of `mu_matrix` off the diagonal, from w."""
-    w = _rank_one_weights(model)
-    m = model.mu_matrix if w is None else model.p * np.multiply.outer(w, w)
+    p, w = _product_form(model)
+    m = model.mu_matrix if w is None else p * np.multiply.outer(w, w)
     f = m * (1.0 - m)
     np.fill_diagonal(f, 0.0)
     return f
@@ -391,12 +387,12 @@ def _pair_variance(model: ModelSpec) -> np.ndarray:
 def clustering_constants(model: ModelSpec) -> ClusteringConstants:
     """All clustering variance constants, as full vectors and matrices.
 
-    Rank-one weights take c, d and E[t_i] from power sums of w; other
+    Product-form weights take c, d and E[t_i] from power sums of w; dense
     weights take them from matrix products.
     """
     _require_supercritical(model)
     a = _a_all(model)
-    w = _rank_one_weights(model)
+    p, w = _product_form(model)
     if w is None:
         m = model.mu_matrix
         dsum = m @ m
@@ -405,7 +401,7 @@ def clustering_constants(model: ModelSpec) -> ClusteringConstants:
     else:
         # sum over k not in {i, j} of y_k mu_ki mu_kj = pw_i pw_j (X - x_i - x_j),
         # pw = p w, x = y w^2 and X = sum of x; y = a gives c, y = 1 gives d
-        pw = model.p * w
+        pw = p * w
         c, dsum = (np.subtract.outer(float(x.sum()) - x, x) for x in (a * w * w, w * w))
         for x in (c, dsum):
             x *= np.multiply.outer(pw, pw)
@@ -474,18 +470,18 @@ def sigma_components(model: ModelSpec) -> tuple[float, float]:
 
 def _sigma_sums(model: ModelSpec, a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     """The triple and pair sums of `sigma_components` over its constants a
-    and e.  Rank-one weights take the triple sum from power sums of w."""
+    and e.  Product-form weights take the triple sum from power sums of w."""
     n = model.n
     f = _pair_variance(model)
     sigma2 = (0.5 / n**2) * float((e**2 * f).sum())
-    w = _rank_one_weights(model)
+    p, w = _product_form(model)
     if w is not None:
         # over ordered triples, (a_i + a_j + a_k)^2 counts as 3 a_i^2 + 6 a_i a_j
         # by symmetry; a third of that sum is twice the sum over i < j < k
         a2 = a * a
         triple = 0.5 * sum(
             c * (_d3(a2 * x, y, z) + 2.0 * _d3(a * x, a * y, z))
-            for c, x, y, z in _triple_terms(model, w)
+            for c, x, y, z in _triple_terms(p, w)
         )
     else:
         f2 = f @ f
@@ -514,11 +510,12 @@ class TriangleConstants:
 def triangle_constants(model: ModelSpec) -> TriangleConstants:
     """eta, gamma and delta_ij = gamma_ij - (eta_i + eta_j)/2, zero diagonals.
 
-    Rank-one weights take power sums of w; other weights take matrix
-    products and form delta from gamma and eta as written.
+    Product-form weights take power sums of w, with delta 0 exactly under
+    constant weights; dense weights take matrix products and form delta as written.
     """
+    _require_valid(model)
     mu = model.mu
-    w = _rank_one_weights(model)
+    p, w = _product_form(model)
     if w is None:
         m = model.mu_matrix
         num = m @ ((1.0 / mu)[:, None] * m)  # num_ij = sum_k mu_ik mu_kj / mu_k
@@ -526,10 +523,6 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
         scaled = m / mu[None, :]  # scaled_ij = mu_ij / mu_j
         path2 = scaled @ m
         eta = (path2 * scaled).sum(axis=1) / mu**2
-        if model.is_homogeneous:
-            # gamma_ij = eta_i = eta_j in exact arithmetic; computed, they differ by rounding
-            np.fill_diagonal(gamma, 0.0)
-            return TriangleConstants(eta=eta, gamma=gamma, delta=np.zeros_like(gamma))
         # delta_ij = gamma_ij - (eta_i + eta_j)/2, built in place to hold one n x n temporary
         delta = np.add.outer(eta, eta)
         delta *= -0.5
@@ -540,18 +533,22 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
         #   delta_ij = -(p/2) (s_i - s_j)^2 + (p/2) (h_i + h_j)
         #              + q_i q_j [(1 - pT)(T - r_i - r_j) - p r_i r_j],
         # s = q (T - r), h = q^2 (R2 - r^2); pT = 1 + O(1/n), so 1 - pT is taken by fsum
-        p = model.p
         q = p * w / mu
         r = w * w / mu
         t, r2 = float(r.sum()), float((r * r).sum())
         eta = p * q * q * ((t - r) ** 2 - (r2 - r * r))
+        gamma = np.subtract.outer(t - r, r)
+        if model.is_homogeneous:
+            # gamma_ij = eta_i = eta_j in exact arithmetic; computed, they differ by rounding
+            gamma *= np.multiply.outer(q, q)
+            np.fill_diagonal(gamma, 0.0)
+            return TriangleConstants(eta=eta, gamma=gamma, delta=np.zeros_like(gamma))
         s = q * (t - r)
         delta = np.subtract.outer(s, s)
         delta *= delta
         delta *= -0.5 * p
         h = 0.5 * p * q * q * (r2 - r * r)
         delta += np.add.outer(h, h)
-        gamma = np.subtract.outer(t - r, r)
         cross = gamma * math.fsum([1.0, *(-p * r).tolist()])
         rr = np.multiply.outer(r, r)
         rr *= p
@@ -583,6 +580,7 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
     v2_sq over the delta of `triangle_constants`; rank-one weights take
     v1_sq from power sums of w.
     """
+    _require_valid(model)
     n = model.n
     mu_pair = _constant_pair(model)
     if mu_pair is not None:
@@ -594,10 +592,10 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
     f = _pair_variance(model)
     v2 = 0.5 * float((delta**2 * f).sum())
     del delta
-    mu, w = model.mu, _rank_one_weights(model)
+    mu, (p, w) = model.mu, _product_form(model)
     if w is not None:
         inv2 = 1.0 / (mu * mu)
-        terms = _triple_terms(model, w)
+        terms = _triple_terms(p, w)
         return sum(c * _d3(x * inv2, y * inv2, z * inv2) for c, x, y, z in terms) / 6.0, v2
     g = f / np.outer(mu, mu)
     v1 = float(((g @ g) * g).sum()) / 6.0
@@ -625,12 +623,12 @@ def _mean_cc(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> float:
     n, mu = model.n, model.mu
     term1 = float(et @ a) / n
     g = (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
-    w = _rank_one_weights(model)
+    p, w = _product_form(model)
     if w is not None:
         # f_ij mu_ik mu_jk is the sum of c_s p^2 w_i^(s+1) w_j^(s+1) w_k^2
-        terms = _pair_variance_terms(model)
+        terms = _pair_variance_terms(p)
         paths = sum(c * _d3(g * w ** (s + 1), w ** (s + 1), w * w) for s, c in terms)
-        term2 = (2.0 / n) * model.p * model.p * paths
+        term2 = (2.0 / n) * p * p * paths
     else:
         m = model.mu_matrix
         diag_fmm = ((_pair_variance(model) @ m) * m).sum(axis=1)
@@ -641,13 +639,14 @@ def _mean_cc(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> float:
 def mean_t_leading(model: ModelSpec) -> float:
     """Leading term of E[weighted triangle sum]:
     sum_{i<j<k} mu_ij mu_jk mu_ki / (mu_i mu_j mu_k).  Diagnostic only;
-    the full expectation has no closed form at finite n.  Rank-one weights
-    take (p^3 / 6) D3(r, r, r), r = w^2 / mu.
+    the full expectation has no closed form at finite n.  Product-form
+    weights take (p^3 / 6) D3(r, r, r), r = w^2 / mu.
     """
-    w = _rank_one_weights(model)
+    _require_valid(model)
+    p, w = _product_form(model)
     if w is not None:
         r = w * w / model.mu
-        return model.p**3 * _d3(r, r, r) / 6.0
+        return p**3 * _d3(r, r, r) / 6.0
     m = model.mu_matrix
     mu = model.mu
     h = m / np.sqrt(np.outer(mu, mu))
@@ -668,8 +667,7 @@ def sigma_closed_forms(n: int, alpha: float) -> ClosedFormSigma:
     total: the cubic scale above alpha = 1/2, the linear scale below it,
     and their sum 8/(n^2 sqrt(n)) at the boundary.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    _require_valid(ModelSpec(n=n, alpha=alpha, beta=1.0, weights=ConstantWeights(1.0)))
     s1 = 6.0 / n ** (3.0 - alpha)
     s2 = 2.0 / n ** (2.0 + alpha)
     if alpha > 0.5:
@@ -693,13 +691,17 @@ def v_closed_form_rank_one(model: ModelSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rank-one weights: power sums of w
+# product-form weights: power sums of w
 
 
-def _rank_one_weights(model: ModelSpec) -> np.ndarray | None:
-    """The weight vector w of rank-one weights; None for other weights."""
+def _product_form(model: ModelSpec) -> tuple[float, np.ndarray | None]:
+    """(p, w) with mu_ij = p (w_i w_j): rank-one (p, w), constant (p c, 1), dense (p, None)."""
     weights = model.weights
-    return weights.w if isinstance(weights, RankOneWeights) else None
+    if isinstance(weights, RankOneWeights):
+        return model.p, weights.w
+    if isinstance(weights, ConstantWeights):
+        return model.p * float(weights.c), np.ones(model.n)
+    return model.p, None
 
 
 def _d3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
@@ -714,16 +716,15 @@ def _d3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
     )
 
 
-def _pair_variance_terms(model: ModelSpec) -> tuple[tuple[int, float], ...]:
+def _pair_variance_terms(p: float) -> tuple[tuple[int, float], ...]:
     """(s, c_s) with f_ij = sum of c_s (w_i w_j)^s for i != j."""
-    p = model.p
     return ((1, p), (2, -p * p))
 
 
-def _triple_terms(model: ModelSpec, w: np.ndarray):
+def _triple_terms(p: float, w: np.ndarray):
     """(c_s c_t c_u, w^(s+u), w^(s+t), w^(t+u)) over (s, t, u), so that
     f_ij f_jk f_ki is the sum of c w_i^(s+u) w_j^(s+t) w_k^(t+u)."""
-    for (s, cs), (t, ct), (u, cu) in itertools.product(_pair_variance_terms(model), repeat=3):
+    for (s, cs), (t, ct), (u, cu) in itertools.product(_pair_variance_terms(p), repeat=3):
         yield cs * ct * cu, w ** (s + u), w ** (s + t), w ** (t + u)
 
 
@@ -746,7 +747,6 @@ class TheoreticalMoments:
 
 
 def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
-    _require_valid(model)
     _require_supercritical(model)
     # v first: its n x n temporaries set the peak, so no clustering constant is alive then
     v1, v2 = v_components(model)

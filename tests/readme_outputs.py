@@ -7,9 +7,10 @@ lines continued with a backslash, and runs them in README order in one
 temporary directory, so that a later command can read an earlier one's
 file.  The README uses constant weights only, so the fixed
 `RANK_ONE_COMMANDS` run next, then the fixed `KERNEL_COMMANDS`,
-`DECOMPOSE_COMMANDS` and `DENSE_COMMANDS`, then each `--extra` command,
-all in the same directory.  The dense commands read `w.csv`, a seeded
-symmetric weight matrix that the script writes into the directory first.
+`DECOMPOSE_COMMANDS`, `DENSE_COMMANDS` and `CONSTANT_COMMANDS`, then each
+`--extra` command, all in the same directory.  The dense commands read
+`w.csv`, a seeded symmetric weight matrix that the script writes into the
+directory first.
 It prints the first 16 hex digits of the sha256 of `w.csv`, then, for
 every command, of its stdout, its stderr and every file it wrote or
 changed.  Two checkouts whose listings are equal produce the same bytes
@@ -91,6 +92,16 @@ DENSE_COMMANDS = [
     " --replicates 200 --seed 5 --out wd.json --format json",
 ]
 
+# constant weights, whose theory outside the closed forms takes the rank-one
+# sums with w = 1 at probability p*c
+CONSTANT_COMMANDS = [
+    # `theory`: mean_cc_approx and mean_t_leading from power sums, no mu_matrix
+    "hetclust theory --n 3000 --alpha 0.5 --weights constant:1.0",
+    # the lemma3 centering, the one `mc` output that reads mean_cc_approx
+    "hetclust mc --n 400 --alpha 0.4 --weights constant:1.0 --stat clustering --centering lemma3"
+    " --replicates 200 --seed 1 --out lc.csv",
+]
+
 
 def write_dense_weights(path: Path) -> None:
     """A seeded symmetric DENSE_N x DENSE_N weight matrix: entries uniform on
@@ -158,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     readme = readme_commands((ROOT / "README.md").read_text())
     commands = (
         readme + RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS + DENSE_COMMANDS
-        + args.extra
+        + CONSTANT_COMMANDS + args.extra
     )
     if args.keep is None:
         with tempfile.TemporaryDirectory(prefix="readme-outputs-") as tmp:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -207,23 +208,25 @@ def test_rank_one_degree_law_matches_40_digit_convolution(n, alpha):
 
 
 def test_rank_one_theory_never_builds_mu_matrix(monkeypatch):
-    # power sums of w, rows and the quadrature: no n x n pair-probability matrix
+    # power sums of w (w = 1 under constant weights), rows and the quadrature
+    # or node 0's convolution: no n x n pair-probability matrix
     def no_matrix(self):
         raise AssertionError("mu_matrix built")
 
     monkeypatch.setattr(ModelSpec, "mu_matrix", property(no_matrix))
-    for alpha in (0.3, 0.5, 0.7):
-        m = ModelSpec(n=2000, alpha=alpha, beta=0.5,
-                      weights=RankOneWeights(np.linspace(0.5, 1.0, 2000)))
+    kinds = (lambda n: RankOneWeights(np.linspace(0.5, 1.0, n)), lambda n: ConstantWeights(1.0))
+    for weights, alpha in itertools.product(kinds, (0.3, 0.5, 0.7)):
+        m = ModelSpec(n=2000, alpha=alpha, beta=0.5, weights=weights(2000))
         theoretical_moments(m)
         sigma_components(m)
         v_components(m)
         mean_cc_approx(m)
+        mean_t_leading(m)
+        expected_ti_all(m)
         triangle_constants(m)
         clustering_constants(m)
         # the JSON of every n x n constant: about 480 MB and 30 s at n = 2000
-        small = ModelSpec(n=300, alpha=alpha, beta=0.5,
-                          weights=RankOneWeights(np.linspace(0.5, 1.0, 300)))
+        small = ModelSpec(n=300, alpha=alpha, beta=0.5, weights=weights(300))
         moments_to_json(small, theoretical_moments(small), include_constants=True)
 
 
@@ -261,8 +264,10 @@ def test_expected_ti_matches_direct(rng):
         assert et[i] == pytest.approx(reference.expected_ti_direct(mu, i), rel=1e-13)
 
 
-def test_expected_ti_zero_row_drops_node():
-    # a node with no connection probability contributes nothing
+def test_expected_ti_zero_row_drops_node(monkeypatch):
+    # a node with no connection probability contributes nothing; its zero
+    # weights lie below beta, so the library entry points refuse the model
+    # and the evaluators behind them are checked with that check switched off
     n = 5
     w = np.full((n, n), 0.6)
     np.fill_diagonal(w, 0.0)
@@ -272,6 +277,10 @@ def test_expected_ti_zero_row_drops_node():
     full = np.full((n, n), 0.6)
     np.fill_diagonal(full, 0.0)
     m_full = ModelSpec(n=n, alpha=0.3, beta=0.6, weights=DenseWeights(full))
+    for f in (expected_ti_all, lambda model: a_coeff(model, 4)):
+        with pytest.raises(ValueError, match="^invalid model: dense off-diagonal weights"):
+            f(m)
+    monkeypatch.setattr(theory, "_require_valid", lambda model: None)
     et = expected_ti_all(m)
     assert et[4] == 0.0
     assert a_coeff(m, 4) == 0.0
@@ -348,15 +357,25 @@ def test_v_components_match_direct_sums(rng):
 
 
 def test_fast_path_agrees_with_generic():
-    m = er_model(200, alpha=0.45)
-    w = np.stack([m.weights.row(i, m.n) for i in range(m.n)])
-    dense = ModelSpec(n=m.n, alpha=m.alpha, beta=m.beta, weights=DenseWeights(w))
-    for fast, generic in (
-        (sigma_components(m), sigma_components(dense)),
-        (v_components(m), v_components(dense)),
-    ):
-        assert fast[0] == pytest.approx(generic[0], rel=1e-10)
-        assert fast[1] == pytest.approx(generic[1], rel=1e-10, abs=1e-30)
+    for m in (er_model(200, alpha=0.45), er_model(200, alpha=0.3, c=0.6)):
+        w = np.stack([m.weights.row(i, m.n) for i in range(m.n)])
+        dense = ModelSpec(n=m.n, alpha=m.alpha, beta=m.beta, weights=DenseWeights(w))
+        for fast, generic in (
+            (sigma_components(m), sigma_components(dense)),
+            (v_components(m), v_components(dense)),
+        ):
+            assert fast[0] == pytest.approx(generic[0], rel=1e-10)
+            assert fast[1] == pytest.approx(generic[1], rel=1e-10, abs=1e-30)
+        # the product form with w = 1 against the dense twin's matrix products
+        for f in (mean_cc_approx, mean_t_leading):
+            assert f(m) == pytest.approx(f(dense), rel=1e-12)
+        cc, cc_dense = clustering_constants(m), clustering_constants(dense)
+        tc, tc_dense = triangle_constants(m), triangle_constants(dense)
+        arrays = [(expected_ti_all(m), expected_ti_all(dense)),
+                  (tc.eta, tc_dense.eta), (tc.gamma, tc_dense.gamma)]
+        arrays += [(getattr(cc, f.name), getattr(cc_dense, f.name)) for f in dataclasses.fields(cc)]
+        for got, want in arrays:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +492,21 @@ def test_all_nodes_degree_law_equals_column_loop(n, alpha, rng):
 
 
 def test_rank_one_moments_same_bytes_under_one_and_two_blas_threads():
-    # the moments and every constant array that --dump-constants writes
+    # the moments and every constant array that --dump-constants writes, for
+    # rank-one weights and for the README's constant-weight `theory` model
     script = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from hetclust.model import ModelSpec, RankOneWeights\n"
+        "from hetclust.model import ConstantWeights, ModelSpec, RankOneWeights\n"
         "from hetclust.theory import moments_to_json, theoretical_moments\n"
         "w = np.linspace(0.5, 1.0, 300)\n"
-        "m = ModelSpec(n=300, alpha=0.4, beta=0.5, weights=RankOneWeights(w))\n"
-        "moments = theoretical_moments(m)\n"
-        "print(repr(moments))\n"
-        "text = moments_to_json(m, moments, include_constants=True)\n"
-        "print(hashlib.sha256(text.encode()).hexdigest())\n"
+        "rank1 = ModelSpec(n=300, alpha=0.4, beta=0.5, weights=RankOneWeights(w))\n"
+        "constant = ModelSpec(n=500, alpha=0.6, beta=1.0, weights=ConstantWeights(1.0))\n"
+        "for m in (rank1, constant):\n"
+        "    moments = theoretical_moments(m)\n"
+        "    print(repr(moments))\n"
+        "    text = moments_to_json(m, moments, include_constants=True)\n"
+        "    print(hashlib.sha256(text.encode()).hexdigest())\n"
     )
     src = str(Path(theory.__file__).resolve().parents[1])
     out = []
@@ -669,6 +691,19 @@ def test_closed_form_regime_selection():
     assert forms.sigma_sq == pytest.approx(2 / 1000**2.3, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, alpha, message", [
+    (-5, 0.3, "node count n=-5 must be an integer >= 3"),
+    (1, 0.3, "node count n=1 must be an integer >= 3"),
+    (2, 0.5, "node count n=2 must be an integer >= 3"),
+    (1000.0, 0.3, "node count n=1000.0 must be an integer >= 3"),
+    (1000, 1.2, "alpha=1.2 outside (0, 1)"),
+])
+def test_closed_form_rejects_invalid_size(n, alpha, message):
+    with pytest.raises(ValueError) as err:
+        sigma_closed_forms(n, alpha)
+    assert str(err.value) == "invalid model: " + message
+
+
 def test_rank_one_closed_form_constant_case():
     n, alpha = 500, 0.5
     m = ModelSpec(n=n, alpha=alpha, beta=1.0, weights=RankOneWeights(np.ones(n)))
@@ -771,13 +806,24 @@ def test_theoretical_moments_evaluates_degree_law_once(rng, monkeypatch):
     assert rows and set(rows) == {1}  # constant weights read node 0 only
 
 
-def test_theoretical_moments_rejects_invalid_model():
+@pytest.mark.parametrize("evaluate", [
+    theoretical_moments, sigma_components, v_components, mean_cc_approx, mean_t_leading,
+    clustering_constants, triangle_constants, expected_ti_all,
+    pytest.param(lambda m: a_coeff(m, 0), id="a_coeff"),
+], ids=lambda f: f.__name__)
+def test_theoretical_moments_rejects_invalid_model(evaluate):
     m = ModelSpec(n=30, alpha=0.4, beta=0.0, weights=ConstantWeights(1.5))
     with pytest.raises(ValueError) as err:
-        theoretical_moments(m)
+        evaluate(m)
     assert str(err.value) == (
         "invalid model: beta=0.0 outside (0, 1]; constant weight c=1.5 outside (0, 1]"
     )
+    # weights above 1, where v2_sq came out negative and sigma failed deep inside
+    w = np.linspace(0.5, 3.0, 30)
+    m = ModelSpec(n=30, alpha=0.4, beta=0.5, weights=RankOneWeights(w))
+    with pytest.raises(ValueError) as err:
+        evaluate(m)
+    assert str(err.value) == "invalid model: rank-one weight entries must lie in [beta, 1]"
 
 
 def test_moments_json_with_constants(rng):
