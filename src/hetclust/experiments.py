@@ -38,10 +38,11 @@ from .stats import (
     weighted_triangle_sum,
 )
 from .theory import (
+    _clustering_constants,
     _constant_clustering_scalars,
     _constant_pair,
     _nonzero_delta,
-    clustering_constants,
+    _pair_mu,
     sigma_closed_forms,
     mean_cc_approx,
     sigma_components,
@@ -67,12 +68,11 @@ STAT_TRIANGLES = "weighted_triangles"
 
 WORKERS_ENV = "HETCLUST_WORKERS"
 
-# Rank-one and dense weights evaluate the leading terms on the dense n x n
-# B = A - mu_matrix of every replicate, the cubic ones through an O(n^3)
-# product; the caps keep such a run at desk timescales.  Constant weights take
-# exact terms from the graph's counts and have no cap.
+# Rank-one and dense weights evaluate the cubic leading terms on the dense n x n
+# B = A - mu_matrix of every replicate through an O(n^3) product; the cap keeps
+# such a run at desk timescales.  Linear terms are gathered at the edges, and
+# constant weights take exact terms from the graph's counts; neither has a cap.
 DECOMP_MAX_N_CUBIC = 300
-DECOMP_MAX_N_LINEAR = 2000
 
 # the `set` counterparts of the thread-count symbols of the OpenBLAS builds
 # that numpy and scipy load, by the names those builds export
@@ -167,7 +167,7 @@ class _Replicate:
 
     @cached_property
     def b(self) -> np.ndarray:
-        """The centered adjacency A - mu_matrix, dense."""
+        """The centered adjacency A - mu_matrix, dense, for the cubic terms."""
         return self.graph.adjacency_dense() - self.model.mu_matrix
 
     def trace_b3(self, mu: Fraction) -> Fraction:
@@ -185,9 +185,9 @@ class _Replicate:
 
 # Leading terms as functions of a replicate, with their coefficients bound
 # first by `partial`, so that workers can unpickle them.  Rank-one and dense
-# weights read the replicate's dense b; constant weights make M = mu (J - I),
-# so each term is a rational in the graph's counts, returned as an exact
-# Fraction that the replicate task rounds once.
+# weights read the replicate's dense b (cubic) or edges (linear); constant
+# weights make M = mu (J - I), so each term is a rational in the graph's
+# counts, returned as an exact Fraction that the replicate task rounds once.
 
 
 def _cubic_clustering(a, rep) -> float:
@@ -202,8 +202,15 @@ def _cubic_triangles(inv_mu_sqrt, rep) -> float:
     return float(((bt @ bt) * bt).sum()) / 6.0
 
 
-def _linear(scale, coef, rep) -> float:
-    return scale * float((coef * rep.b).sum())
+def _linear(scale, coef, offset, rep) -> float:
+    """scale sum_{i != j} coef_ij b_ij = scale (2 sum_{edges i<j} coef_ij - offset),
+    offset = sum_{i != j} coef_ij mu_ij; coef is n x n or a `theory._Separable`"""
+    rows, cols = rep.graph.edge_pairs()
+    return scale * (2.0 * float(coef[rows, cols].sum()) - offset)
+
+
+def _linear_term(scale, coef, model: ModelSpec):
+    return partial(_linear, scale, coef, float((coef * _pair_mu(model)).sum()))
 
 
 def _cubic_clustering_constant(a: Fraction, mu: Fraction, rep) -> Fraction:
@@ -230,10 +237,10 @@ def _clustering_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
             partial(_cubic_clustering_constant, a, mu) if cubic else None,
             partial(_linear_clustering_constant, e, mu) if linear and e else None,
         )
-    consts = clustering_constants(model)
+    consts = _clustering_constants(model)
     return (
         partial(_cubic_clustering, consts.a) if cubic else None,
-        partial(_linear, 0.5 / model.n, consts.e) if linear and np.any(consts.e) else None,
+        _linear_term(0.5 / model.n, consts.e, model) if linear else None,
     )
 
 
@@ -247,7 +254,7 @@ def _triangle_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
     else:
         mu = model.mu
         cubic_term = partial(_cubic_triangles, 1.0 / np.sqrt(np.outer(mu, mu)))
-    return cubic_term, partial(_linear, 0.5, delta) if delta is not None else None
+    return cubic_term, _linear_term(0.5, delta, model) if delta is not None else None
 
 
 class _Statistic(NamedTuple):
@@ -481,9 +488,9 @@ def decomposition_check(
 
     Under constant weights each term is the correctly rounded value of its
     defining sum, computed exactly from the graph's triangle count, sum of
-    squared degrees and edge count, at any n.  Other weights evaluate the
-    terms on the dense B = A - mu_matrix, within `DECOMP_MAX_N_CUBIC` or
-    `DECOMP_MAX_N_LINEAR` nodes.
+    squared degrees and edge count, at any n.  Other weights gather the
+    linear term at the edges, at any n, and evaluate the cubic term on the
+    dense B = A - mu_matrix, within `DECOMP_MAX_N_CUBIC` nodes.
     """
     _require_valid(model)
     if r_count < 2:
@@ -491,11 +498,9 @@ def decomposition_check(
     make_terms = _statistic(stat_kind).terms
     alpha = model.alpha
     regime = REGIME_HALF if alpha == 0.5 else (REGIME_SUB if alpha < 0.5 else REGIME_SUPER)
-    cap = DECOMP_MAX_N_LINEAR if regime == REGIME_SUB else DECOMP_MAX_N_CUBIC
-    if model.n > cap and _constant_pair(model) is None:
-        raise ValueError(
-            f"decomposition at regime {regime} caps n at {cap}, got {model.n}"
-        )
+    cap = DECOMP_MAX_N_CUBIC
+    if regime != REGIME_SUB and model.n > cap and _constant_pair(model) is None:
+        raise ValueError(f"decomposition at regime {regime} caps n at {cap}, got {model.n}")
 
     terms = make_terms(model, regime != REGIME_SUB, regime != REGIME_SUPER)
     degenerate = regime == REGIME_SUB and terms[1] is None

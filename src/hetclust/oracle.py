@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ModelSpec, _require_valid
 from .pairs import n_pairs, pair_arrays, pair_index
 from .sampling import Graph
 
@@ -118,6 +118,7 @@ def _graph_probabilities(bits: np.ndarray, mu_vec: np.ndarray) -> np.ndarray:
 
 def enumerate_moments(model: ModelSpec) -> OracleReport:
     """Exact moments of both statistics under the model's product measure."""
+    _require_valid(model)
     n = model.n
     bits, deg, t, cbar, tsum = enumeration_tables(n)
     mu_vec = model.mu_pairs()

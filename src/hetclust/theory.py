@@ -69,20 +69,22 @@ S_k = sum of w^k, d_ij = p^2 w_i w_j (S2 - w_i^2 - w_j^2), c_ij = p^2
 w_i w_j (sum a w^2 - a_i w_i^2 - a_j w_j^2), gamma_ij = q_i q_j (T - r_i
 - r_j) and eta_i = p q_i^2 [(T - r_i)^2 - (sum r^2 - r_i^2)], where
 q = p w / mu, r = w^2 / mu, T = sum of r and mu_i is the model's own row
-sum `mu`.  That is numpy reductions of elementwise products and one dot
-product of two n-vectors, never a matrix product, so the bytes were the
-same at one and two BLAS threads; with f_ij built from w, no product-form
-path builds `mu_matrix`.  `expected_ti_all`, `clustering_constants` and
-`triangle_constants` are the one source of these arrays for every weight
-kind; the pair sums of sigma2_sq and v2_sq (and the decomposition's
-linear terms) read them.  All agree with the dense path to about 1e-14
-relative, except delta = gamma - (eta_i + eta_j)/2, a small difference of
-nearly equal terms.  The dense path forms it so and loses about
-2 log10(n) digits: against an extended-precision evaluation of the
-defining sums its v2_sq is off by up to 4e-12 relative at n = 300.  The
-rank-one path expands delta around pT = 1, with 1 - pT taken by
-`math.fsum`; its v2_sq was off by at most 3.2e-13 for n <= 500, w in
-[0.3, 1] and alpha in [0.3, 0.7], and the tests bound it by 5e-11.
+sum `mu`.  Each pair array (c, d, e, gamma, delta, f) is then a short sum
+of terms L(i) R(j), a `_Separable` of O(n K) memory whose products form
+their factor pairs lazily, so the pair sums of sigma2_sq and v2_sq and
+the decompositions' linear terms (gathered at the edges) read as for the
+dense arrays, with no n x n array and no BLAS call.  All agree with the
+dense path to about 1e-14 relative, except delta = gamma - (eta_i +
+eta_j)/2, a small difference of nearly equal terms.  The dense path forms
+it so and loses about 2 log10(n) digits (its v2_sq is off by up to 4e-12
+relative at n = 300).  Product forms regroup it, with s = q (T - r), g = q r,
+
+    delta_ij = -(p/2) (s_i - s_j)^2 + (p R2/2) (q_i - q_j)^2
+               - (p/2) (g_i + g_j)^2 + q_i q_j [zeta - kappa (r_i + r_j)],
+
+R2 = sum of r^2, kappa = 1 - pT and zeta = p R2 + kappa T, the last two
+by `math.fsum` since pT = 1 + O(1/n), and s and q centred in the squared
+differences; the tests bound its v2_sq against extended precision by 5e-11.
 
 Under constant weights every pair has the probability p*c besides, so
 delta is exactly 0, and `sigma_components` and `v_components` each scale
@@ -374,49 +376,53 @@ class ClusteringConstants:
     et: np.ndarray
 
 
-def _pair_variance(model: ModelSpec) -> np.ndarray:
-    """f_ij = mu_ij (1 - mu_ij), zero diagonal.  Product-form weights take
-    mu_ij = p (w_i w_j), the bits of `mu_matrix` off the diagonal, from w."""
+def _pair_mu(model: ModelSpec):
+    """mu_ij: `mu_matrix` for dense weights, the `_Separable` (p w_i) w_j for product forms."""
     p, w = _product_form(model)
-    m = model.mu_matrix if w is None else p * np.multiply.outer(w, w)
-    f = m * (1.0 - m)
-    np.fill_diagonal(f, 0.0)
-    return f
+    return model.mu_matrix if w is None else _Separable(model.n, ((p * w, w),))
 
 
-def clustering_constants(model: ModelSpec) -> ClusteringConstants:
-    """All clustering variance constants, as full vectors and matrices.
+def _pair_variance(model: ModelSpec):
+    """f_ij = mu_ij (1 - mu_ij), zero diagonal as `mu_matrix`'s: for product
+    forms the `_Separable` sum of c_s (w_i w_j)^s of `_pair_variance_terms`."""
+    p, w = _product_form(model)
+    if w is None:
+        return model.mu_matrix * (1.0 - model.mu_matrix)
+    return _Separable(model.n, tuple((c * w**s, w**s) for s, c in _pair_variance_terms(p)))
 
-    Product-form weights take c, d and E[t_i] from power sums of w; dense
-    weights take them from matrix products.
-    """
+
+def _clustering_constants(model: ModelSpec) -> ClusteringConstants:
+    """`clustering_constants`, with c, d and e `_Separable` for product forms."""
     _require_supercritical(model)
-    a = _a_all(model)
+    n, a = model.n, _a_all(model)
     p, w = _product_form(model)
     if w is None:
         m = model.mu_matrix
         dsum = m @ m
         et = (dsum * m).sum(axis=1)  # expected_ti_all, from the one product
         c = m @ (a[:, None] * m)
+        row, col = (lambda x: x[:, None]), (lambda x: x[None, :])
     else:
-        # sum over k not in {i, j} of y_k mu_ki mu_kj = pw_i pw_j (X - x_i - x_j),
-        # pw = p w, x = y w^2 and X = sum of x; y = a gives c, y = 1 gives d
-        pw = p * w
-        c, dsum = (np.subtract.outer(float(x.sum()) - x, x) for x in (a * w * w, w * w))
-        for x in (c, dsum):
-            x *= np.multiply.outer(pw, pw)
+        # sum over k not in {i, j} of x_k mu_ki mu_kj = u_i u_j (Y - y_i - y_j),
+        # u = p w, y = x w^2 and Y = sum of y; x = a gives c, x = 1 gives d
+        u = p * w
+        c, dsum = (_Separable(n, ((u * (float(y.sum()) - y), u), (u, -u * y)))
+                   for y in (a * w * w, w * w))
         et = expected_ti_all(model)
+        row, col = _row_col(n)
     b = _b_from(et, model.mu)
-    # e_ij = 2 (c_ij + (a_i + a_j) d_ij) - b_i - b_j, built in place
-    e = np.add.outer(a, a)
-    e *= dsum
-    e += c
-    e *= 2.0
-    e -= b[:, None]
-    e -= b[None, :]
-    for x in (c, dsum, e):
-        np.fill_diagonal(x, 0.0)
+    e = 2.0 * (c + (row(a) + col(a)) * dsum) - row(b) - col(b)
+    if w is None:
+        for x in (c, dsum, e):
+            np.fill_diagonal(x, 0.0)
     return ClusteringConstants(a=a, b=b, c=c, dsum=dsum, e=e, et=et)
+
+
+def clustering_constants(model: ModelSpec) -> ClusteringConstants:
+    """All clustering variance constants, as full vectors and n x n matrices:
+    from power sums of w for product-form weights, matrix products for dense."""
+    cc = _clustering_constants(model)
+    return ClusteringConstants(**{k: np.asarray(v) for k, v in vars(cc).items()})
 
 
 def _constant_pair(model: ModelSpec) -> float | None:
@@ -457,10 +463,8 @@ def sigma_components(model: ModelSpec) -> tuple[float, float]:
     n = model.n
     scalars = _constant_clustering_scalars(model)
     if scalars is None:
-        cc = clustering_constants(model)
-        a, e = cc.a, cc.e
-        del cc  # free c and d before the n x n temporaries of the sums
-        return _sigma_sums(model, a, e)
+        cc = _clustering_constants(model)
+        return _sigma_sums(model, cc.a, cc.e)
     mu_pair, a, e = scalars
     f = mu_pair * (1.0 - mu_pair)
     sigma1 = (4.0 / n**2) * comb(n, 3) * (3.0 * a) ** 2 * f**3
@@ -473,7 +477,7 @@ def _sigma_sums(model: ModelSpec, a: np.ndarray, e: np.ndarray) -> tuple[float, 
     and e.  Product-form weights take the triple sum from power sums of w."""
     n = model.n
     f = _pair_variance(model)
-    sigma2 = (0.5 / n**2) * float((e**2 * f).sum())
+    sigma2 = (0.5 / n**2) * float((e * e * f).sum())
     p, w = _product_form(model)
     if w is not None:
         # over ordered triples, (a_i + a_j + a_k)^2 counts as 3 a_i^2 + 6 a_i a_j
@@ -507,14 +511,10 @@ class TriangleConstants:
     delta: np.ndarray
 
 
-def triangle_constants(model: ModelSpec) -> TriangleConstants:
-    """eta, gamma and delta_ij = gamma_ij - (eta_i + eta_j)/2, zero diagonals.
-
-    Product-form weights take power sums of w, with delta 0 exactly under
-    constant weights; dense weights take matrix products and form delta as written.
-    """
+def _triangle_constants(model: ModelSpec) -> TriangleConstants:
+    """`triangle_constants`, with gamma and delta `_Separable` for product forms."""
     _require_valid(model)
-    mu = model.mu
+    n, mu = model.n, model.mu
     p, w = _product_form(model)
     if w is None:
         m = model.mu_matrix
@@ -523,53 +523,41 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
         scaled = m / mu[None, :]  # scaled_ij = mu_ij / mu_j
         path2 = scaled @ m
         eta = (path2 * scaled).sum(axis=1) / mu**2
-        # delta_ij = gamma_ij - (eta_i + eta_j)/2, built in place to hold one n x n temporary
-        delta = np.add.outer(eta, eta)
-        delta *= -0.5
-        delta += gamma
-    else:
-        # with q = p w / mu, r = w^2 / mu, T = sum of r and R2 = sum of r^2,
-        #   gamma_ij = q_i q_j (T - r_i - r_j), eta_i = p q_i^2 [(T - r_i)^2 - (R2 - r_i^2)],
-        #   delta_ij = -(p/2) (s_i - s_j)^2 + (p/2) (h_i + h_j)
-        #              + q_i q_j [(1 - pT)(T - r_i - r_j) - p r_i r_j],
-        # s = q (T - r), h = q^2 (R2 - r^2); pT = 1 + O(1/n), so 1 - pT is taken by fsum
-        q = p * w / mu
-        r = w * w / mu
-        t, r2 = float(r.sum()), float((r * r).sum())
-        eta = p * q * q * ((t - r) ** 2 - (r2 - r * r))
-        gamma = np.subtract.outer(t - r, r)
-        if model.is_homogeneous:
-            # gamma_ij = eta_i = eta_j in exact arithmetic; computed, they differ by rounding
-            gamma *= np.multiply.outer(q, q)
-            np.fill_diagonal(gamma, 0.0)
-            return TriangleConstants(eta=eta, gamma=gamma, delta=np.zeros_like(gamma))
-        s = q * (t - r)
-        delta = np.subtract.outer(s, s)
-        delta *= delta
-        delta *= -0.5 * p
-        h = 0.5 * p * q * q * (r2 - r * r)
-        delta += np.add.outer(h, h)
-        cross = gamma * math.fsum([1.0, *(-p * r).tolist()])
-        rr = np.multiply.outer(r, r)
-        rr *= p
-        cross -= rr
-        del rr  # one n x n array fewer while q_i q_j is alive
-        qq = np.multiply.outer(q, q)
-        cross *= qq
-        delta += cross
-        gamma *= qq
-    np.fill_diagonal(gamma, 0.0)
-    np.fill_diagonal(delta, 0.0)
+        delta = gamma - 0.5 * np.add.outer(eta, eta)
+        np.fill_diagonal(gamma, 0.0)
+        np.fill_diagonal(delta, 0.0)
+        return TriangleConstants(eta=eta, gamma=gamma, delta=delta)
+    # with q = p w / mu, r = w^2 / mu, T = sum of r and R2 = sum of r^2,
+    #   gamma_ij = q_i q_j (T - r_i - r_j), eta_i = p q_i^2 [(T - r_i)^2 - (R2 - r_i^2)],
+    # and delta regrouped as in the module docstring
+    q, r = p * w / mu, w * w / mu
+    t, r2 = float(r.sum()), float((r * r).sum())
+    eta = p * q * q * ((t - r) ** 2 - (r2 - r * r))
+    gamma = _Separable(n, ((q * (t - r), q), (q, -q * r)))
+    if model.is_homogeneous:  # gamma_ij = eta_i = eta_j in exact arithmetic
+        return TriangleConstants(eta=eta, gamma=gamma, delta=_Separable(n, ()))
+    row, col = _row_col(n)
+    kappa = math.fsum([1.0, *(-p * r).tolist()])
+    zeta = math.fsum((r * (kappa + p * r)).tolist())
+    s, q0 = (x - x.mean() for x in (q * (t - r), q))  # centred for the squared differences
+    ds, dq, sg = row(s) - col(s), row(q0) - col(q0), row(q * r) + col(q * r)
+    delta = (-0.5 * p) * (ds * ds) + (0.5 * p * r2) * (dq * dq) - (0.5 * p) * (sg * sg)
+    delta += _Separable(n, ((q * (zeta - kappa * r), q), (q, -kappa * q * r)))
     return TriangleConstants(eta=eta, gamma=gamma, delta=delta)
 
 
-def _nonzero_delta(model: ModelSpec) -> np.ndarray | None:
-    """delta of `triangle_constants`, or None where it is identically zero;
-    under constant weights that is known without building anything."""
-    if model.is_homogeneous:
-        return None
-    delta = triangle_constants(model).delta
-    return delta if np.any(delta) else None
+def triangle_constants(model: ModelSpec) -> TriangleConstants:
+    """eta, gamma and delta_ij = gamma_ij - (eta_i + eta_j)/2, zero diagonals:
+    from power sums of w for product-form weights (delta 0 exactly under
+    constant weights), matrix products for dense, which form delta as written."""
+    tc = _triangle_constants(model)
+    return TriangleConstants(**{k: np.asarray(v) for k, v in vars(tc).items()})
+
+
+def _nonzero_delta(model: ModelSpec):
+    """delta of `_triangle_constants`, or None under constant weights, where
+    it is identically zero and known so without building anything."""
+    return None if model.is_homogeneous else _triangle_constants(model).delta
 
 
 def v_components(model: ModelSpec) -> tuple[float, float]:
@@ -588,10 +576,8 @@ def v_components(model: ModelSpec) -> tuple[float, float]:
         f = mu_pair * (1.0 - mu_pair)
         v1 = comb(n, 3) * f**3 / mu**6
         return v1, 0.0
-    delta = triangle_constants(model).delta
-    f = _pair_variance(model)
-    v2 = 0.5 * float((delta**2 * f).sum())
-    del delta
+    delta, f = _triangle_constants(model).delta, _pair_variance(model)
+    v2 = 0.5 * float((delta * delta * f).sum())
     mu, (p, w) = model.mu, _product_form(model)
     if w is not None:
         inv2 = 1.0 / (mu * mu)
@@ -621,7 +607,7 @@ def mean_cc_approx(model: ModelSpec) -> float:
 
 def _mean_cc(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> float:
     n, mu = model.n, model.mu
-    term1 = float(et @ a) / n
+    term1 = math.fsum((et * a).tolist()) / n
     g = (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
     p, w = _product_form(model)
     if w is not None:
@@ -684,6 +670,7 @@ def v_closed_form_rank_one(model: ModelSpec) -> float:
 
     Continuous in alpha, hence no scale jump for the weighted triangle sum.
     """
+    _require_valid(model)
     if not isinstance(model.weights, RankOneWeights):
         raise TypeError("closed form applies to rank-one weight models only")
     w = float(model.weights.w.sum())
@@ -702,6 +689,57 @@ def _product_form(model: ModelSpec) -> tuple[float, np.ndarray | None]:
     if isinstance(weights, ConstantWeights):
         return model.p * float(weights.c), np.ones(model.n)
     return model.p, None
+
+
+def _row_col(n: int):
+    """The maps of an n-vector x to the pair arrays x_i and x_j, as `_Separable`."""
+    ones = np.ones(n)
+    return (lambda x: _Separable(n, ((x, ones),))), (lambda x: _Separable(n, ((ones, x),)))
+
+
+class _Separable:
+    """The pair array x_ij = sum_k L_k(i) R_k(j), i != j, with zero diagonal,
+    held as its factor pairs of n-vectors, or as a function yielding them:
+    a sum or product forms its pairs one at a time as they are read.  `+`,
+    `-`, `*` (also by a scalar), `sum()` over i != j (sum L sum R - sum LR
+    per pair, by `math.fsum`), the gather `x[rows, cols]` off the diagonal
+    and `np.asarray(x)` act as on the n x n array."""
+
+    __array_ufunc__ = None  # numpy scalars defer to the operators below
+
+    def __init__(self, n: int, pairs):
+        self.n = n
+        self.pairs = pairs if callable(pairs) else (lambda: iter(pairs))
+
+    def __reduce__(self):
+        return _Separable, (self.n, tuple(self.pairs()))
+
+    def __add__(self, other):
+        return _Separable(self.n, lambda: itertools.chain(self.pairs(), other.pairs()))
+
+    def __sub__(self, other):
+        return self + -1.0 * other
+
+    def __mul__(self, other):
+        if isinstance(other, _Separable):
+            return _Separable(self.n, lambda: (
+                (x * u, y * v) for x, y in self.pairs() for u, v in other.pairs()))
+        return _Separable(self.n, lambda: ((other * x, y) for x, y in self.pairs()))
+
+    __rmul__ = __mul__
+
+    def sum(self) -> float:
+        return math.fsum(itertools.chain.from_iterable(
+            (float(x.sum()) * float(y.sum()), -float((x * y).sum())) for x, y in self.pairs()))
+
+    def __getitem__(self, index):
+        rows, cols = index
+        return sum(x[rows] * y[cols] for x, y in self.pairs())
+
+    def __array__(self, dtype=None, copy=None):
+        out = sum((np.multiply.outer(x, y) for x, y in self.pairs()), np.zeros((self.n, self.n)))
+        np.fill_diagonal(out, 0.0)
+        return out
 
 
 def _d3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
@@ -748,16 +786,12 @@ class TheoreticalMoments:
 
 def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
     _require_supercritical(model)
-    # v first: its n x n temporaries set the peak, so no clustering constant is alive then
     v1, v2 = v_components(model)
-    # otherwise one degree law (the dominant cost) serves sigma and the mean
     if model.is_homogeneous:
         (s1, s2), mean_cc = sigma_components(model), mean_cc_approx(model)
-    else:
-        cc = clustering_constants(model)
-        a, e, et = cc.a, cc.e, cc.et
-        del cc  # free c and d before the n x n temporaries of the sums
-        (s1, s2), mean_cc = _sigma_sums(model, a, e), _mean_cc(model, a, et)
+    else:  # one degree law (the dominant cost) serves sigma and the mean
+        cc = _clustering_constants(model)
+        (s1, s2), mean_cc = _sigma_sums(model, cc.a, cc.e), _mean_cc(model, cc.a, cc.et)
     return TheoreticalMoments(
         sigma1_sq=s1,
         sigma2_sq=s2,

@@ -51,6 +51,13 @@ RANK_ONE_COMMANDS = [
     " --replicates 200 --seed 2 --out dc.csv",
     "hetclust mc --n 200 --alpha 0.6 --weights rank1:grid:0.5,1 --stat triangles"
     " --replicates 200 --seed 2 --out r.csv",
+    # `theory` at a size where one n x n array is 3.2 GB: the pair sums over
+    # separable factors in O(n) memory
+    "hetclust theory --n 20000 --alpha 0.7 --weights rank1:grid:0.5,1",
+    # a sub-half `decompose` at ten times the cubic cap: the linear term
+    # gathered at the edges, with no dense A - mu_matrix
+    "hetclust decompose --n 3000 --alpha 0.3 --weights rank1:grid:0.5,1 --stat clustering"
+    " --replicates 20 --seed 2 --out drl.csv",
 ]
 
 # `sample` and `stats` on a graph each statistic reads through its dense

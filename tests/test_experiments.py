@@ -413,15 +413,28 @@ def test_decomposition_worker_pool_matches_single_process(stat, alpha):
 
 
 def test_decomposition_size_caps():
-    # the caps guard the dense leading terms of rank-one and dense weights
-    for n, alpha, regime, cap in [(301, 0.7, "super_half", 300), (301, 0.5, "half", 300),
-                                  (2001, 0.3, "sub_half", 2000)]:
+    # the cap guards the dense cubic leading terms of rank-one and dense weights
+    for n, alpha, regime, cap in [(301, 0.7, "super_half", 300), (301, 0.5, "half", 300)]:
         w = RankOneWeights(np.linspace(0.5, 1.0, n))
         m = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=w)
         for stat in (STAT_CLUSTERING, STAT_TRIANGLES):
             with pytest.raises(ValueError) as err:
                 decomposition_check(m, stat, 10, master_seed=0)
             assert str(err.value) == f"decomposition at regime {regime} caps n at {cap}, got {n}"
+
+
+@pytest.mark.parametrize("stat", [STAT_CLUSTERING, STAT_TRIANGLES])
+def test_rank_one_sub_half_decomposition_has_no_cap(stat, monkeypatch):
+    # the linear term gathers its coefficients at the edges: no dense A - M
+    def no_dense(self):
+        raise AssertionError("dense adjacency formed")
+
+    monkeypatch.setattr(Graph, "adjacency_dense", no_dense)
+    n = 2001
+    m = ModelSpec(n=n, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1.0, n)))
+    rep = decomposition_check(m, stat, 3, master_seed=0, workers=1)
+    assert rep.regime == "sub_half" and not rep.degenerate_linear
+    assert np.all(np.isfinite(rep.leading)) and np.ptp(rep.leading) > 0.0
 
 
 @pytest.mark.parametrize("stat", [STAT_CLUSTERING, STAT_TRIANGLES])
@@ -576,16 +589,20 @@ def test_decomposition_leading_terms_match_literal_loops(alpha, stat, pick):
         assert rep.leading[r] == pytest.approx(expect, rel=1e-10, abs=1e-14)
 
 
-def test_decomposition_linear_term_rank_one_matches_literal():
+def test_decomposition_linear_term_rank_one_matches_literal(rng):
+    # the edge gather of the coefficients, separable (rank-one) or n x n
+    # (dense), against the literal sum, for both statistics
     n = 12
     w = RankOneWeights(np.linspace(0.5, 1.0, n))
-    for alpha in (0.3, 0.5):  # the linear term alone, then with the cubic term
-        m = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=w)
-        rep = decomposition_check(m, STAT_TRIANGLES, 3, master_seed=4242, workers=1)
-        for r in range(3):
-            cubic, linear = _leading_terms_literal(m, 4242, r, STAT_TRIANGLES)
-            expect = linear if alpha < 0.5 else cubic + linear
-            assert rep.leading[r] == pytest.approx(expect, rel=1e-10, abs=1e-14)
+    for alpha, stat in itertools.product((0.3, 0.5), (STAT_CLUSTERING, STAT_TRIANGLES)):
+        # the linear term alone, then with the cubic term
+        rank1 = ModelSpec(n=n, alpha=alpha, beta=0.5, weights=w)
+        for m in (rank1, random_dense_model(n, rng, alpha=alpha)):
+            rep = decomposition_check(m, stat, 3, master_seed=4242, workers=1)
+            for r in range(3):
+                cubic, linear = _leading_terms_literal(m, 4242, r, stat)
+                expect = linear if alpha < 0.5 else cubic + linear
+                assert rep.leading[r] == pytest.approx(expect, rel=1e-10, abs=1e-14)
 
 
 def test_rank_one_triangle_linear_term_matches_extended_precision():

@@ -493,12 +493,13 @@ def test_all_nodes_degree_law_equals_column_loop(n, alpha, rng):
 
 def test_rank_one_moments_same_bytes_under_one_and_two_blas_threads():
     # the moments and every constant array that --dump-constants writes, for
-    # rank-one weights and for the README's constant-weight `theory` model
+    # rank-one weights and for the README's constant-weight `theory` model,
+    # and mean_cc_approx at n = 20000
     script = (
         "import hashlib\n"
         "import numpy as np\n"
         "from hetclust.model import ConstantWeights, ModelSpec, RankOneWeights\n"
-        "from hetclust.theory import moments_to_json, theoretical_moments\n"
+        "from hetclust.theory import mean_cc_approx, moments_to_json, theoretical_moments\n"
         "w = np.linspace(0.5, 1.0, 300)\n"
         "rank1 = ModelSpec(n=300, alpha=0.4, beta=0.5, weights=RankOneWeights(w))\n"
         "constant = ModelSpec(n=500, alpha=0.6, beta=1.0, weights=ConstantWeights(1.0))\n"
@@ -507,6 +508,9 @@ def test_rank_one_moments_same_bytes_under_one_and_two_blas_threads():
         "    print(repr(moments))\n"
         "    text = moments_to_json(m, moments, include_constants=True)\n"
         "    print(hashlib.sha256(text.encode()).hexdigest())\n"
+        "# long enough for a BLAS dot product to split across threads\n"
+        "large = ModelSpec(n=20000, alpha=0.5, beta=1.0, weights=ConstantWeights(1.0))\n"
+        "print(repr(mean_cc_approx(large)))\n"
     )
     src = str(Path(theory.__file__).resolve().parents[1])
     out = []
@@ -518,6 +522,41 @@ def test_rank_one_moments_same_bytes_under_one_and_two_blas_threads():
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]
+
+
+def _random_separable(n, k, rng):
+    return theory._Separable(n, tuple((rng.normal(size=n), rng.normal(size=n)) for _ in range(k)))
+
+
+@pytest.mark.parametrize("n", [3, 7, 40])
+def test_separable_matches_its_materialisation(n, rng):
+    x, y, z = (_random_separable(n, k, rng) for k in (1, 3, 4))
+    X, Y, Z = (np.asarray(v) for v in (x, y, z))
+    assert not np.any(np.diag(X)) and not np.any(np.diag(Y)) and not np.any(np.diag(Z))
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    for got, want in [(x, X), (x + y, X + Y), (y - z, Y - Z), (2.5 * y, 2.5 * Y),
+                      (np.float64(-0.5) * z, -0.5 * Z), (y * z, Y * Z), (x * y * z, X * Y * Z)]:
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * scale
+        assert abs(got.sum() - want.sum()) <= 1e-13 * scale * n * n
+        assert np.max(np.abs(got[rows, cols] - want[rows, cols])) <= 1e-13 * scale
+    # a product forms its pairs as they are read, from the pairs of its factors
+    assert len(list((y * z).pairs())) == 12 and len(list((x * y * z).pairs())) == 12
+
+
+def test_rank_one_moments_take_linear_memory():
+    # the pair sums over separable factors: no n x n array (one is 69 MiB here)
+    import tracemalloc
+
+    n = 3000
+    m = ModelSpec(n=n, alpha=0.3, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1.0, n)))
+    tracemalloc.start()
+    try:
+        theoretical_moments(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sigma2_near_closed_form_sub_half():
@@ -808,8 +847,8 @@ def test_theoretical_moments_evaluates_degree_law_once(rng, monkeypatch):
 
 @pytest.mark.parametrize("evaluate", [
     theoretical_moments, sigma_components, v_components, mean_cc_approx, mean_t_leading,
-    clustering_constants, triangle_constants, expected_ti_all,
-    pytest.param(lambda m: a_coeff(m, 0), id="a_coeff"),
+    clustering_constants, triangle_constants, expected_ti_all, v_closed_form_rank_one,
+    enumerate_moments, pytest.param(lambda m: a_coeff(m, 0), id="a_coeff"),
 ], ids=lambda f: f.__name__)
 def test_theoretical_moments_rejects_invalid_model(evaluate):
     m = ModelSpec(n=30, alpha=0.4, beta=0.0, weights=ConstantWeights(1.5))
