@@ -39,10 +39,9 @@ from .stats import (
 )
 from .theory import (
     _clustering_constants,
-    _constant_clustering_scalars,
-    _constant_pair,
-    _nonzero_delta,
     _pair_mu,
+    _product_form,
+    _triangle_constants,
     sigma_closed_forms,
     mean_cc_approx,
     sigma_components,
@@ -229,10 +228,18 @@ def _linear_clustering_constant(e: Fraction, mu: Fraction, rep) -> Fraction:
     return e * (int(rep.graph.degrees.sum()) - mu * n * (n - 1)) / (2 * n)
 
 
+def _constant_scalars(model: ModelSpec) -> tuple[Fraction, Fraction, Fraction]:
+    """(mu, a, e) of constant weights as exact Fractions: the pair probability
+    p*c, and node 0's a and pair (0, 1)'s e of the product-form constants,
+    which every node and pair share."""
+    consts = _clustering_constants(model)
+    e = consts.e[np.array([0]), np.array([1])]
+    return Fraction(_product_form(model)[0]), Fraction(float(consts.a[0])), Fraction(float(e[0]))
+
+
 def _clustering_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
-    scalars = _constant_clustering_scalars(model)
-    if scalars is not None:
-        mu, a, e = map(Fraction, scalars)
+    if model.is_homogeneous:
+        mu, a, e = _constant_scalars(model)
         return (
             partial(_cubic_clustering_constant, a, mu) if cubic else None,
             partial(_linear_clustering_constant, e, mu) if linear and e else None,
@@ -245,16 +252,14 @@ def _clustering_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
 
 
 def _triangle_terms(model: ModelSpec, cubic: bool, linear: bool) -> tuple:
-    mu_pair = _constant_pair(model)
-    delta = _nonzero_delta(model) if linear else None
-    if not cubic:
-        cubic_term = None
-    elif mu_pair is not None:
-        cubic_term = partial(_cubic_triangles_constant, Fraction(mu_pair))
-    else:
-        mu = model.mu
-        cubic_term = partial(_cubic_triangles, 1.0 / np.sqrt(np.outer(mu, mu)))
-    return cubic_term, _linear_term(0.5, delta, model) if delta is not None else None
+    if model.is_homogeneous:  # delta is identically zero: no linear term
+        mu = Fraction(_product_form(model)[0])
+        return partial(_cubic_triangles_constant, mu) if cubic else None, None
+    mu = model.mu
+    return (
+        partial(_cubic_triangles, 1.0 / np.sqrt(np.outer(mu, mu))) if cubic else None,
+        _linear_term(0.5, _triangle_constants(model).delta, model) if linear else None,
+    )
 
 
 class _Statistic(NamedTuple):
@@ -424,6 +429,9 @@ def phase_sweep(n: int, alphas: Iterable[float], weight_c: float = 1.0) -> Phase
     boundary value as alpha passes 1/2: the scale of the clustering
     coefficient's variance switches regime discontinuously.
     """
+    alphas = list(alphas)
+    if not alphas:
+        raise ValueError("phase sweep needs at least one alpha")
     records = []
     for alpha in alphas:
         model = ModelSpec(n=n, alpha=float(alpha), beta=weight_c, weights=ConstantWeights(weight_c))
@@ -499,7 +507,7 @@ def decomposition_check(
     alpha = model.alpha
     regime = REGIME_HALF if alpha == 0.5 else (REGIME_SUB if alpha < 0.5 else REGIME_SUPER)
     cap = DECOMP_MAX_N_CUBIC
-    if regime != REGIME_SUB and model.n > cap and _constant_pair(model) is None:
+    if regime != REGIME_SUB and model.n > cap and not model.is_homogeneous:
         raise ValueError(f"decomposition at regime {regime} caps n at {cap}, got {model.n}")
 
     terms = make_terms(model, regime != REGIME_SUB, regime != REGIME_SUPER)

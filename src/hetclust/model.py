@@ -358,7 +358,11 @@ def model_from_json(source: str | Path | dict) -> ModelSpec:
     else:
         cfg = source
     try:
-        n = int(cfg["n"])
+        n = cfg["n"]
+        integral = isinstance(n, (int, np.integer)) or isinstance(n, float) and n.is_integer()
+        if isinstance(n, bool) or not integral:
+            raise ValueError(f"{where}model config key 'n' must be an integer, got {n!r}")
+        n = int(n)
         return ModelSpec(
             n=n,
             alpha=float(cfg["alpha"]),

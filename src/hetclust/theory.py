@@ -86,11 +86,11 @@ R2 = sum of r^2, kappa = 1 - pT and zeta = p R2 + kappa T, the last two
 by `math.fsum` since pT = 1 + O(1/n), and s and q centred in the squared
 differences; the tests bound its v2_sq against extended precision by 5e-11.
 
-Under constant weights every pair has the probability p*c besides, so
-delta is exactly 0, and `sigma_components` and `v_components` each scale
-one triple and pair term by the counts in one closed-form block.
-`_constant_pair` and `_constant_clustering_scalars` hand those scalars
-(p*c, a and e) to the decomposition's exact leading terms.
+Constant weights take these product-form sums for sigma1_sq, sigma2_sq
+and v1_sq as rank-one weights do.  Every pair has the probability p*c
+besides, so gamma_ij = eta_i and delta is exactly 0: `_triangle_constants`
+returns it as a `_Separable` with no terms, whose empty sum makes v2_sq
+0.0 exactly.
 
 Asymptotically, for c = 1,
 
@@ -110,7 +110,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from math import comb
 
 import numpy as np
 
@@ -193,7 +192,7 @@ def a_coeff(model: ModelSpec, i: int) -> float:
     probabilities alone.  Neither builds an n x n matrix.
     """
     _require_valid(model)
-    if not (0 <= i < model.n):
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < model.n:
         raise IndexError(f"node index out of range for n={model.n}")
     if isinstance(model.weights, RankOneWeights):
         return float(_rank_one_a(model, np.array([i]))[0])
@@ -425,51 +424,11 @@ def clustering_constants(model: ModelSpec) -> ClusteringConstants:
     return ClusteringConstants(**{k: np.asarray(v) for k, v in vars(cc).items()})
 
 
-def _constant_pair(model: ModelSpec) -> float | None:
-    """The pair probability p*c that every pair has under constant weights,
-    the one float of the zero-stride pair vector; None for other weights."""
-    if not model.is_homogeneous:
-        return None
-    return float(model.mu_pairs()[0])
-
-
-def _constant_clustering_scalars(model: ModelSpec) -> tuple[float, float, float] | None:
-    """(mu_pair, a, e) under constant weights, where every pair has the
-    probability mu_pair, every node the constant a and every pair the
-    constant e of `clustering_constants`; None for other weights."""
-    mu_pair = _constant_pair(model)
-    if mu_pair is None:
-        return None
-    _require_supercritical(model)
-    n = model.n
-    mu = (n - 1) * mu_pair
-    a = a_coeff(model, 0)
-    et = (n - 1) * (n - 2) * mu_pair**3
-    b = float(_b_from(np.array([et]), np.array([mu]))[0])
-    c = (n - 2) * a * mu_pair**2
-    dsum = (n - 2) * mu_pair**2
-    return mu_pair, a, 2.0 * c + 4.0 * a * dsum - 2.0 * b
-
-
 def sigma_components(model: ModelSpec) -> tuple[float, float]:
-    """Exact (sigma1_sq, sigma2_sq) for the average clustering coefficient.
-
-    Constant weights take a closed form: every pair has the probability
-    p*c, so one representative triple and pair term is scaled by the
-    number of triples and pairs.  Other weights take the sums over the
-    a and e of `clustering_constants`.
-    """
-    _require_supercritical(model)
-    n = model.n
-    scalars = _constant_clustering_scalars(model)
-    if scalars is None:
-        cc = _clustering_constants(model)
-        return _sigma_sums(model, cc.a, cc.e)
-    mu_pair, a, e = scalars
-    f = mu_pair * (1.0 - mu_pair)
-    sigma1 = (4.0 / n**2) * comb(n, 3) * (3.0 * a) ** 2 * f**3
-    sigma2 = (1.0 / n**2) * comb(n, 2) * e**2 * f
-    return sigma1, sigma2
+    """Exact (sigma1_sq, sigma2_sq) for the average clustering coefficient,
+    the sums over the a and e of `clustering_constants` for every weight kind."""
+    cc = _clustering_constants(model)
+    return _sigma_sums(model, cc.a, cc.e)
 
 
 def _sigma_sums(model: ModelSpec, a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
@@ -554,28 +513,10 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
     return TriangleConstants(**{k: np.asarray(v) for k, v in vars(tc).items()})
 
 
-def _nonzero_delta(model: ModelSpec):
-    """delta of `_triangle_constants`, or None under constant weights, where
-    it is identically zero and known so without building anything."""
-    return None if model.is_homogeneous else _triangle_constants(model).delta
-
-
 def v_components(model: ModelSpec) -> tuple[float, float]:
-    """Exact (v1_sq, v2_sq) for the weighted triangle sum.
-
-    Under constant weights delta vanishes identically, so v2_sq is 0
-    exactly and the closed form returns it as such.  Other weights take
-    v2_sq over the delta of `triangle_constants`; rank-one weights take
-    v1_sq from power sums of w.
-    """
-    _require_valid(model)
-    n = model.n
-    mu_pair = _constant_pair(model)
-    if mu_pair is not None:
-        mu = (n - 1) * mu_pair
-        f = mu_pair * (1.0 - mu_pair)
-        v1 = comb(n, 3) * f**3 / mu**6
-        return v1, 0.0
+    """Exact (v1_sq, v2_sq) for the weighted triangle sum: v2_sq over the
+    delta of `triangle_constants` (0.0 exactly under constant weights, whose
+    delta has no terms), v1_sq from power sums of w for product-form weights."""
     delta, f = _triangle_constants(model).delta, _pair_variance(model)
     v2 = 0.5 * float((delta * delta * f).sum())
     mu, (p, w) = model.mu, _product_form(model)
@@ -787,11 +728,9 @@ class TheoreticalMoments:
 def theoretical_moments(model: ModelSpec) -> TheoreticalMoments:
     _require_supercritical(model)
     v1, v2 = v_components(model)
-    if model.is_homogeneous:
-        (s1, s2), mean_cc = sigma_components(model), mean_cc_approx(model)
-    else:  # one degree law (the dominant cost) serves sigma and the mean
-        cc = _clustering_constants(model)
-        (s1, s2), mean_cc = _sigma_sums(model, cc.a, cc.e), _mean_cc(model, cc.a, cc.et)
+    # one degree law (the dominant cost) serves sigma and the mean
+    cc = _clustering_constants(model)
+    (s1, s2), mean_cc = _sigma_sums(model, cc.a, cc.e), _mean_cc(model, cc.a, cc.et)
     return TheoreticalMoments(
         sigma1_sq=s1,
         sigma2_sq=s2,

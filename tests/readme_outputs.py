@@ -39,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FENCE = "```"
 
 # rank-one runs of `theory`, `decompose` and `mc`, whose numbers come from
-# the generic sums rather than the constant-weight closed forms
+# the product-form sums over non-constant w
 RANK_ONE_COMMANDS = [
     "hetclust theory --n 300 --alpha 0.4 --weights rank1:grid:0.5,1 --dump-constants --out c.json",
     "hetclust theory --n 200 --alpha 0.3 --weights rank1:grid:0.3,1",
@@ -99,8 +99,8 @@ DENSE_COMMANDS = [
     " --replicates 200 --seed 5 --out wd.json --format json",
 ]
 
-# constant weights, whose theory outside the closed forms takes the rank-one
-# sums with w = 1 at probability p*c
+# constant weights, whose theory takes the rank-one product-form sums with
+# w = 1 at probability p*c
 CONSTANT_COMMANDS = [
     # `theory`: mean_cc_approx and mean_t_leading from power sums, no mu_matrix
     "hetclust theory --n 3000 --alpha 0.5 --weights constant:1.0",

@@ -202,6 +202,39 @@ def a_coeff_mp(mu_row: np.ndarray, dps: int = 40) -> float:
         return float(total)
 
 
+def binomial_a(n: int, pi: float) -> float:
+    """a = E[1/(d(d-1))] over d >= 2, d ~ Binomial(n-1, pi): scipy's PMF,
+    summed by math.fsum."""
+    from scipy.stats import binom
+
+    k = np.arange(2, n)
+    return math.fsum((binom.pmf(k, n - 1, pi) / (k * (k - 1.0))).tolist())
+
+
+def constant_weight_components(n: int, pi: float, a: float) -> tuple[float, float, float, float]:
+    """(sigma1_sq, sigma2_sq, v1_sq, v2_sq) when every pair has the
+    probability pi and every node the constant a of `binomial_a`: one
+    representative triple and pair term times the numbers of triples and
+    pairs, for any n.
+
+    With f = pi (1 - pi) and mu = (n-1) pi,
+
+        sigma1_sq = (4/n^2) C(n,3) (3a)^2 f^3,   sigma2_sq = (1/n^2) C(n,2) e^2 f,
+        v1_sq = C(n,3) f^3 / mu^6,               v2_sq = 0,
+
+    e = 2c + 4a d - 2b, c = (n-2) a pi^2, d = (n-2) pi^2 and
+    b = E[t] (2mu - 1) / (mu^2 (mu - 1)^2) with E[t] = (n-1)(n-2) pi^3.
+    """
+    f, mu = pi * (1.0 - pi), (n - 1) * pi
+    et = (n - 1) * (n - 2) * pi**3
+    b = et * (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
+    c, d = (n - 2) * a * pi**2, (n - 2) * pi**2
+    e = 2.0 * c + 4.0 * a * d - 2.0 * b
+    sigma1 = (4.0 / n**2) * math.comb(n, 3) * (3.0 * a) ** 2 * f**3
+    sigma2 = (1.0 / n**2) * math.comb(n, 2) * e**2 * f
+    return sigma1, sigma2, math.comb(n, 3) * f**3 / mu**6, 0.0
+
+
 def mean_t_leading_direct(mu: np.ndarray) -> float:
     n = mu.shape[0]
     mi = mu.sum(axis=1)

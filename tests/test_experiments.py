@@ -332,6 +332,13 @@ def test_phase_ratio_strictly_increasing():
     assert all(r.ratio > 0 for r in sweep.records)
 
 
+@pytest.mark.parametrize("alphas", [[], iter(())], ids=["list", "iterator"])
+def test_phase_sweep_rejects_empty_grid(alphas):
+    # an empty sweep would fail later in default_filename with an IndexError
+    with pytest.raises(ValueError, match="^phase sweep needs at least one alpha$"):
+        phase_sweep(50, alphas)
+
+
 def test_phase_sweep_rejects_invalid_weight():
     with pytest.raises(ValueError) as err:
         phase_sweep(100, [0.1, 0.3], weight_c=2.0)
@@ -497,7 +504,7 @@ def test_constant_weight_terms_are_correctly_rounded(alpha, stat):
     # rational b_ij = A_ij - mu, with mu, a and e the floats the model gives
     n, r = 12, 3
     m = er_model(n, alpha=alpha)
-    mu, a, e = map(Fraction, theory_module._constant_clustering_scalars(m))
+    mu, a, e = experiments._constant_scalars(m)
     rep = decomposition_check(m, stat, r, master_seed=515, workers=1)
     for k in range(r):
         adj = sample_graph(m, SeedSpec(515, k)).adjacency_dense()

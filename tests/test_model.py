@@ -192,11 +192,18 @@ def test_model_json_missing_key_is_value_error(tmp_path, key):
 @pytest.mark.parametrize(
     "weights, key",
     [(5, "weights"), ([1], "weights"), ({"kind": "rank1", "grid": 5}, "grid"),
-     ({"kind": "rank1", "grid": [0.5, 0.7, 1.0]}, "grid")],
+     ({"kind": "rank1", "grid": [0.5, 0.7, 1.0]}, "grid"),
+     # valid weights under a non-integral, a non-numeric and a boolean n
+     *(pytest.param({"kind": "constant", "c": 1.0}, ("n", bad), id=f"n={bad!r}")
+       for bad in (100.7, "six", True))],
 )
 def test_model_json_malformed_weights_is_value_error(tmp_path, weights, key):
+    cfg = {"n": 6, "alpha": 0.4, "beta": 0.5, "weights": weights}
+    if isinstance(key, tuple):  # a malformed top-level entry: (its key, its value)
+        key, value = key
+        cfg[key] = value
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"n": 6, "alpha": 0.4, "beta": 0.5, "weights": weights}))
+    path.write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match=f"m.json: model config key '{key}' must be"):
         model_from_json(path)
 

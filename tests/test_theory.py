@@ -92,10 +92,13 @@ def test_a_coeff_binomial_example():
     assert a_coeff(m, 0) == pytest.approx(0.234375, rel=1e-13)
 
 
-@pytest.mark.parametrize("i", [5, -1])
+@pytest.mark.parametrize("i", [5, -1, 1.5, np.float64(2.0), True, "1"], ids=repr)
 def test_a_coeff_index_error(i):
-    with pytest.raises(IndexError, match="node index out of range for n=5"):
-        a_coeff(er_model(5, alpha=0.5), i)
+    rank1 = ModelSpec(n=5, alpha=0.5, beta=0.5, weights=RankOneWeights(np.linspace(0.5, 1, 5)))
+    for m in (er_model(5, alpha=0.5), rank1):
+        with pytest.raises(IndexError, match="^node index out of range for n=5$"):
+            a_coeff(m, i)
+        assert a_coeff(m, np.int64(2)) == a_coeff(m, 2)  # numpy integers are indices
 
 
 def test_a_coeff_saturated_probabilities():
@@ -364,8 +367,8 @@ def test_fast_path_agrees_with_generic():
             (sigma_components(m), sigma_components(dense)),
             (v_components(m), v_components(dense)),
         ):
-            assert fast[0] == pytest.approx(generic[0], rel=1e-10)
-            assert fast[1] == pytest.approx(generic[1], rel=1e-10, abs=1e-30)
+            assert fast[0] == pytest.approx(generic[0], rel=1e-12, abs=0)
+            assert fast[1] == pytest.approx(generic[1], rel=1e-12, abs=1e-30)
         # the product form with w = 1 against the dense twin's matrix products
         for f in (mean_cc_approx, mean_t_leading):
             assert f(m) == pytest.approx(f(dense), rel=1e-12)
@@ -376,6 +379,28 @@ def test_fast_path_agrees_with_generic():
         arrays += [(getattr(cc, f.name), getattr(cc_dense, f.name)) for f in dataclasses.fields(cc)]
         for got, want in arrays:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("c", [0.6, 1.0])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize("n", [10, 20, 40, 300, 1000, 4000])
+def test_constant_weight_components_match_closed_forms(n, alpha, c):
+    # the product-form sums with w = 1 against the scalar closed forms in p*c,
+    # both at the program's a, which is checked against scipy's binomial on
+    # its own: e amplifies a's error six-fold in sigma2_sq, and the float
+    # convolution of the degree law is 2.2e-13 off at n = 4000
+    m = er_model(n, alpha=alpha, c=c)
+    if float(m.mu.min()) <= 1.0:
+        pytest.skip("subcritical: the constants divide by mu_i - 1")
+    a = a_coeff(m, 0)
+    assert a == pytest.approx(reference.binomial_a(n, m.p * c), rel=1e-12, abs=0)
+    s1, s2, v1, v2 = reference.constant_weight_components(n, m.p * c, a)
+    moments = theoretical_moments(m)
+    for got in (sigma_components(m), (moments.sigma1_sq, moments.sigma2_sq)):
+        assert got == pytest.approx((s1, s2), rel=1e-12, abs=0)
+    for got in (v_components(m), (moments.v1_sq, moments.v2_sq)):
+        assert got[0] == pytest.approx(v1, rel=1e-12, abs=0)
+        assert got[1] == v2 == 0.0
 
 
 # ---------------------------------------------------------------------------
