@@ -37,6 +37,8 @@ variance theory downstream (several constants divide by (mu_i - 1));
 from __future__ import annotations
 
 import json
+import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import sha1
@@ -309,12 +311,19 @@ def load_dense_csv(path: str | Path) -> np.ndarray:
     return w
 
 
+def _number(cfg: dict, key: str, where: str) -> float:
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where}model config key '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _weights_from_dict(spec: dict, n: int, base: Path | None, where: str) -> WeightSpec:
     if not isinstance(spec, dict):
         raise ValueError(f"{where}model config key 'weights' must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "constant":
-        return ConstantWeights(float(spec["c"]))
+        return ConstantWeights(_number(spec, "c", where))
     if kind == "rank1":
         if "grid" in spec:
             grid = spec["grid"]
@@ -328,7 +337,15 @@ def _weights_from_dict(spec: dict, n: int, base: Path | None, where: str) -> Wei
                 )
             lo, hi = grid
             return RankOneWeights(np.linspace(float(lo), float(hi), n))
-        return RankOneWeights(np.asarray(spec["w"], dtype=np.float64))
+        w = spec["w"]
+        try:
+            numeric = np.asarray(w).dtype.kind in "iuf"  # not bool, None or text
+        except ValueError:  # ragged nesting
+            numeric = False
+        if not numeric:
+            got = reprlib.repr(w)  # at most a few entries of a long list
+            raise ValueError(f"{where}model config key 'w' must be a list of numbers, got {got}")
+        return RankOneWeights(np.asarray(w, dtype=np.float64))
     if kind == "dense":
         if "csv" in spec:
             p = Path(spec["csv"])
@@ -365,8 +382,8 @@ def model_from_json(source: str | Path | dict) -> ModelSpec:
         n = int(n)
         return ModelSpec(
             n=n,
-            alpha=float(cfg["alpha"]),
-            beta=float(cfg["beta"]),
+            alpha=_number(cfg, "alpha", where),
+            beta=_number(cfg, "beta", where),
             weights=_weights_from_dict(cfg["weights"], n, base, where),
         )
     except KeyError as exc:

@@ -29,68 +29,65 @@ The weighted triangle sum has the analogous decomposition with
     gamma_ij = sum_{k not in {i,j}} mu_jk mu_ki / (mu_i mu_j mu_k).
 
 a_i is an expectation over the exact distribution of d_i, a sum of
-independent non-identical Bernoulli variables.  Both evaluations below
-rest on one support width K = min(n-1, ceil(mu_max + 12 sqrt(mu_max) + 30))
-and the multiplicative Chernoff bound on the degree mass above it,
+independent non-identical Bernoulli variables.  Both evaluations rest on
+one support width K = min(n-1, ceil(mu_max + 12 sqrt(mu_max) + 30)) and
+the multiplicative Chernoff bound on the degree mass above it,
 
     P(d_i > K) <= e^(-mu_i) (e mu_i / K)^K <= e^(-mu_max) (e mu_max / K)^K,
 
 which increases in mu below K.  The code evaluates it and keeps K only
 where it is <= 1e-30 (it stays below 6e-32 for every mu_max); elsewhere
-K = n-1 and nothing is dropped.  For dense weights the laws of all nodes
-come from one convolution over the columns of mu on the support
-{0, ..., K}, and for constant weights that of node 0 from its row alone.
-Mass only moves upward, so the kept entries equal those of the
-full-support convolution bit for bit, and the truncation changes a_i by
-at most 1e-30 / (K (K+1)).  For rank-one weights a_i is a Gauss-Legendre
-quadrature of the generating function of d_i over the power sums of w
-(`_rank_one_a` states its rule and bounds its error by P(d_i > K) and
-1e-17); it agrees with the convolution to about 3e-14 relative at
-n <= 1000, and was the closer of the two to a 40-digit convolution.
-E[1/(d(d-1))] is ill-defined on {d <= 1}; truncating to {d >= 2}
-matches the zero-denominator convention of the statistic itself and the
-exponentially small low-degree tail.
+K = n-1 and nothing is dropped.  Dense weights take one convolution over
+the columns of mu on {0, ..., K}; mass only moves upward, so the kept
+entries equal those of the full-support convolution bit for bit, and the
+truncation changes a_i by at most 1e-30 / (K (K+1)).  Product forms
+(below) take a Gauss-Legendre quadrature of the generating function of
+d_i over the power sums of w (`_rank_one_a` states its rule and bounds
+its error by P(d_i > K) and 1e-17), constant weights for node 0 alone.
+It agrees with the convolution to about 3e-14 relative at n <= 1000, and
+is the closer of the two to 40- and 50-digit references.  Pair
+probabilities so near 1 that its series needs over `_MAX_SERIES` terms
+take the convolution.  E[1/(d(d-1))] is ill-defined on {d <= 1};
+truncating to {d >= 2} matches the zero-denominator convention of the
+statistic itself and the exponentially small low-degree tail.
 
-Only this module tells the weight kinds apart, and only dense weights
-take matrix products: every triple sum exactly in O(n^3) (zero diagonals
-make the coincidence terms vanish identically), the reference for the
-other kinds.  Constant and rank-one weights are product forms,
+Only this module tells the weight kinds apart: in its pair arrays, its
+degree law and delta.  Every other constant is written once over pair
+arrays with zero diagonals, mu (`_pair_mu`), f (`_pair_variance`) and the
+maps of an n-vector x to x_i and x_j (`_row_col`), by +, -, * and
+
+    paths(x, y)_ij = sum_{k not in {i,j}} x_ik y_kj,
+    T(x, y, z)     = sum over distinct (i, j, k) of x_ij y_jk z_ki,
+
+T per node i (`_triple_rows`) or in total (`_triple_sum`): E[t_i] =
+T_i(mu, mu, mu), d = paths(mu, mu), v1_sq = T(g, g, g) / 6 with
+g_ij = f_ij / mu_i^2, and so on.  Dense weights hold n x n arrays and take
+paths as x @ y with a zero diagonal and T from (x @ y) * z^T, O(n^3), the
+reference.  Constant and rank-one weights are product forms,
 mu_ij = p w_i w_j (`_product_form`; constant weights take p*c and w = 1,
-which keeps the bits of every pair probability), so f_ij = sum_s c_s
-(w_i w_j)^s with c_1 = p, c_2 = -p^2, and every triple sum of the
-moments is a sum over distinct ordered triples of a product x_i y_j z_k,
+which keeps the bits of every pair probability), whose pair arrays are
+short sums of terms L(i) R(j), `_Separable` in O(n K) memory.  For each
+pair of terms, with u = R1 L2 and U = sum of u, paths adds
+L1(i) R2(j) (U - u_i - u_j), and for each triple of terms T adds
+D3(L1 R3, R1 L2, R2 L3), per node x_i [(Y - y_i)(Z - z_i) - (sum yz - y_i z_i)],
 
     D3(x, y, z) = XYZ - (sum xy) Z - (sum xz) Y - (sum yz) X + 2 sum xyz,
 
-with X, Y, Z the sums of x, y, z: O(n) power sums of w, weighted by a,
-1/mu^2 or (2 mu - 1)/(mu^2 (mu - 1)^2).  The constants come from power
-sums too: E[t_i] = p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)] with
-S_k = sum of w^k, d_ij = p^2 w_i w_j (S2 - w_i^2 - w_j^2), c_ij = p^2
-w_i w_j (sum a w^2 - a_i w_i^2 - a_j w_j^2), gamma_ij = q_i q_j (T - r_i
-- r_j) and eta_i = p q_i^2 [(T - r_i)^2 - (sum r^2 - r_i^2)], where
-q = p w / mu, r = w^2 / mu, T = sum of r and mu_i is the model's own row
-sum `mu`.  Each pair array (c, d, e, gamma, delta, f) is then a short sum
-of terms L(i) R(j), a `_Separable` of O(n K) memory whose products form
-their factor pairs lazily, so the pair sums of sigma2_sq and v2_sq and
-the decompositions' linear terms (gathered at the edges) read as for the
-dense arrays, with no n x n array and no BLAS call.  All agree with the
-dense path to about 1e-14 relative, except delta = gamma - (eta_i +
-eta_j)/2, a small difference of nearly equal terms.  The dense path forms
-it so and loses about 2 log10(n) digits (its v2_sq is off by up to 4e-12
-relative at n = 300).  Product forms regroup it, with s = q (T - r), g = q r,
+X, Y, Z the sums of x, y, z: no n x n array and no BLAS call.  The two
+agree to about 1e-14 relative, except in delta = gamma - (eta_i +
+eta_j)/2, a small difference of nearly equal terms.  Dense weights form
+it so and lose about 2 log10(n) digits (v2_sq is off by up to 4e-12
+relative at n = 300).  Product forms regroup it, with q = p w / mu,
+r = w^2 / mu, T = sum of r, R2 = sum of r^2, s = q (T - r) and g = q r,
 
     delta_ij = -(p/2) (s_i - s_j)^2 + (p R2/2) (q_i - q_j)^2
                - (p/2) (g_i + g_j)^2 + q_i q_j [zeta - kappa (r_i + r_j)],
 
-R2 = sum of r^2, kappa = 1 - pT and zeta = p R2 + kappa T, the last two
-by `math.fsum` since pT = 1 + O(1/n), and s and q centred in the squared
-differences; the tests bound its v2_sq against extended precision by 5e-11.
-
-Constant weights take these product-form sums for sigma1_sq, sigma2_sq
-and v1_sq as rank-one weights do.  Every pair has the probability p*c
-besides, so gamma_ij = eta_i and delta is exactly 0: `_triangle_constants`
-returns it as a `_Separable` with no terms, whose empty sum makes v2_sq
-0.0 exactly.
+kappa = 1 - pT and zeta = p R2 + kappa T, the last two by `math.fsum`
+since pT = 1 + O(1/n), and s and q centred in the squared differences;
+the tests bound its v2_sq against extended precision by 5e-11.  Under
+constant weights gamma_ij = eta_i, and delta is a `_Separable` with no
+terms, whose empty sum makes v2_sq 0.0 exactly.
 
 Asymptotically, for c = 1,
 
@@ -187,14 +184,15 @@ def a_coeff_from_pmf(pmf: np.ndarray) -> float:
 def a_coeff(model: ModelSpec, i: int) -> float:
     """Mean inverse ordered-pair count of d_i, truncated to d_i >= 2.
 
-    Rank-one weights take the quadrature of `_rank_one_a`, with the same
-    bits as `_a_all`; other weights convolve row i of the pair
-    probabilities alone.  Neither builds an n x n matrix.
+    Product-form weights take the quadrature of `_rank_one_a`, with the
+    same bits as `_a_all`; dense weights, and pair probabilities too near
+    1 for it, convolve row i of the pair probabilities alone.  Neither
+    builds an n x n matrix.
     """
     _require_valid(model)
     if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < model.n:
         raise IndexError(f"node index out of range for n={model.n}")
-    if isinstance(model.weights, RankOneWeights):
+    if _takes_quadrature(model):
         return float(_rank_one_a(model, np.array([i]))[0])
     k = _support_width(float(model.mu[i]), model.n)
     return a_coeff_from_pmf(_degree_pmfs(model.mu_row(i)[None, :], k)[0])
@@ -202,6 +200,9 @@ def a_coeff(model: ModelSpec, i: int) -> float:
 
 # largest error the truncated power series of log G_i(x) may carry
 _SERIES_BUDGET = 1e-17
+# most terms of that series the quadrature sums; pair probabilities that
+# need more lie so near 1 that the convolution is the cheaper law
+_MAX_SERIES = 10_000
 # most entries of one (nodes x quadrature points) block of `_rank_one_a`
 _BLOCK_ENTRIES = 2**16
 # e^L - 1 - L is summed up to L^_EXP_TERMS / _EXP_TERMS!, a relative
@@ -211,13 +212,24 @@ _EXP_TERMS = 25
 
 def _series_length(mu_max: float, n: int) -> int:
     """Terms L of the power series of log G_i: the dropped tail is at most
-    (n-1) mu_max^(L+1) / ((L+1) (1 - mu_max)) <= _SERIES_BUDGET."""
+    (n-1) mu_max^(L+1) / ((L+1) (1 - mu_max)) <= _SERIES_BUDGET.  Past
+    _MAX_SERIES terms the count stops at _MAX_SERIES + 1."""
     if not 0.0 < mu_max < 1.0:
         raise ValueError(f"pair probabilities must lie in (0, 1); largest is {mu_max}")
     length = 1
-    while (n - 1) * mu_max ** (length + 1) > _SERIES_BUDGET * (length + 1) * (1.0 - mu_max):
+    while length <= _MAX_SERIES and (
+        (n - 1) * mu_max ** (length + 1) > _SERIES_BUDGET * (length + 1) * (1.0 - mu_max)
+    ):
         length += 1
     return length
+
+
+def _takes_quadrature(model: ModelSpec) -> bool:
+    """Whether a_i comes from `_rank_one_a`: for product forms whose series
+    of log G_i has at most _MAX_SERIES terms."""
+    if _product_form(model)[1] is None:
+        return False
+    return _series_length(model.p * model.weights.pair_range(model.n)[1], model.n) <= _MAX_SERIES
 
 
 @functools.lru_cache(maxsize=8)
@@ -248,8 +260,8 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_one_a(model: ModelSpec, nodes: np.ndarray) -> np.ndarray:
-    """a_i of the given nodes of a rank-one model, from the generating
-    function of d_i,
+    """a_i of the given nodes of a product-form model, mu_ij = p w_i w_j
+    (`_product_form`), from the generating function of d_i,
 
         a_i = int_0^1 (1 - x) (G_i(x) - P_i(0) - P_i(1) x) / x^2 dx,
         log G_i(x) = -sum_r U_r (1 - x)^r,  U_r = (p w_i)^r (S_r - w_i^r) / r,
@@ -269,11 +281,11 @@ def _rank_one_a(model: ModelSpec, nodes: np.ndarray) -> np.ndarray:
     quadrature points is one exactly rounded `math.fsum`, so a node's a_i
     has the same bits in any block of nodes.  No BLAS call is made.
     """
-    n, p, w = model.n, model.p, model.weights.w
+    n, (p, w) = model.n, _product_form(model)
     x, weight = _gauss_legendre(_support_width(float(model.mu.max()), n) // 2 + 2)
     y = 1.0 - x
     scale = weight * y / (x * x)
-    length = _series_length(p * model.weights.pair_range(n)[1], n)
+    length = _series_length(model.p * model.weights.pair_range(n)[1], n)
     u = np.empty((length, len(nodes)))
     pw, wr = p * w[nodes], w.copy()
     pwr = pw.copy()
@@ -323,9 +335,9 @@ def _quadrature_block(u: np.ndarray, x: np.ndarray, y: np.ndarray, scale: np.nda
 
 
 def _a_all(model: ModelSpec) -> np.ndarray:
-    if model.is_homogeneous:
+    if model.is_homogeneous:  # every node has node 0's law
         return np.full(model.n, a_coeff(model, 0))
-    if isinstance(model.weights, RankOneWeights):
+    if _takes_quadrature(model):
         return _rank_one_a(model, np.arange(model.n))
     k = _support_width(float(model.mu.max()), model.n)
     # mu_matrix is symmetric, so its transpose has the same rows, and the
@@ -336,16 +348,10 @@ def _a_all(model: ModelSpec) -> np.ndarray:
 
 
 def expected_ti_all(model: ModelSpec) -> np.ndarray:
-    """E[t_i] = sum over ordered pairs (j, k) of mu_ij mu_jk mu_ki, every i;
-    for product-form weights p^3 w_i^2 [(S2 - w_i^2)^2 - (S4 - w_i^4)], S_k = sum of w^k."""
+    """E[t_i] = sum over ordered pairs (j, k) of mu_ij mu_jk mu_ki, every i."""
     _require_valid(model)
-    p, w = _product_form(model)
-    if w is None:
-        m = model.mu_matrix
-        return ((m @ m) * m).sum(axis=1)
-    w2 = w * w
-    w4 = w2 * w2
-    return p**3 * w2 * ((float(w2.sum()) - w2) ** 2 - (float(w4.sum()) - w4))
+    m = _pair_mu(model)
+    return _triple_rows(m, m, m)
 
 
 def _require_supercritical(model: ModelSpec) -> None:
@@ -375,86 +381,40 @@ class ClusteringConstants:
     et: np.ndarray
 
 
-def _pair_mu(model: ModelSpec):
-    """mu_ij: `mu_matrix` for dense weights, the `_Separable` (p w_i) w_j for product forms."""
-    p, w = _product_form(model)
-    return model.mu_matrix if w is None else _Separable(model.n, ((p * w, w),))
-
-
-def _pair_variance(model: ModelSpec):
-    """f_ij = mu_ij (1 - mu_ij), zero diagonal as `mu_matrix`'s: for product
-    forms the `_Separable` sum of c_s (w_i w_j)^s of `_pair_variance_terms`."""
-    p, w = _product_form(model)
-    if w is None:
-        return model.mu_matrix * (1.0 - model.mu_matrix)
-    return _Separable(model.n, tuple((c * w**s, w**s) for s, c in _pair_variance_terms(p)))
-
-
 def _clustering_constants(model: ModelSpec) -> ClusteringConstants:
-    """`clustering_constants`, with c, d and e `_Separable` for product forms."""
+    """`clustering_constants`, with c, d and e in the representation of `_pair_mu`."""
     _require_supercritical(model)
-    n, a = model.n, _a_all(model)
-    p, w = _product_form(model)
-    if w is None:
-        m = model.mu_matrix
-        dsum = m @ m
-        et = (dsum * m).sum(axis=1)  # expected_ti_all, from the one product
-        c = m @ (a[:, None] * m)
-        row, col = (lambda x: x[:, None]), (lambda x: x[None, :])
-    else:
-        # sum over k not in {i, j} of x_k mu_ki mu_kj = u_i u_j (Y - y_i - y_j),
-        # u = p w, y = x w^2 and Y = sum of y; x = a gives c, x = 1 gives d
-        u = p * w
-        c, dsum = (_Separable(n, ((u * (float(y.sum()) - y), u), (u, -u * y)))
-                   for y in (a * w * w, w * w))
-        et = expected_ti_all(model)
-        row, col = _row_col(n)
+    a, m = _a_all(model), _pair_mu(model)
+    row, col = _row_col(model)
+    c, dsum = _paths(m, row(a) * m), _paths(m, m)
+    et = _triple_rows(m, m, m)
     b = _b_from(et, model.mu)
     e = 2.0 * (c + (row(a) + col(a)) * dsum) - row(b) - col(b)
-    if w is None:
-        for x in (c, dsum, e):
-            np.fill_diagonal(x, 0.0)
     return ClusteringConstants(a=a, b=b, c=c, dsum=dsum, e=e, et=et)
 
 
 def clustering_constants(model: ModelSpec) -> ClusteringConstants:
-    """All clustering variance constants, as full vectors and n x n matrices:
-    from power sums of w for product-form weights, matrix products for dense."""
+    """All clustering variance constants, as full vectors and n x n matrices."""
     cc = _clustering_constants(model)
     return ClusteringConstants(**{k: np.asarray(v) for k, v in vars(cc).items()})
 
 
 def sigma_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (sigma1_sq, sigma2_sq) for the average clustering coefficient,
-    the sums over the a and e of `clustering_constants` for every weight kind."""
+    the sums over the a and e of `clustering_constants`."""
     cc = _clustering_constants(model)
     return _sigma_sums(model, cc.a, cc.e)
 
 
 def _sigma_sums(model: ModelSpec, a: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     """The triple and pair sums of `sigma_components` over its constants a
-    and e.  Product-form weights take the triple sum from power sums of w."""
-    n = model.n
-    f = _pair_variance(model)
-    sigma2 = (0.5 / n**2) * float((e * e * f).sum())
-    p, w = _product_form(model)
-    if w is not None:
-        # over ordered triples, (a_i + a_j + a_k)^2 counts as 3 a_i^2 + 6 a_i a_j
-        # by symmetry; a third of that sum is twice the sum over i < j < k
-        a2 = a * a
-        triple = 0.5 * sum(
-            c * (_d3(a2 * x, y, z) + 2.0 * _d3(a * x, a * y, z))
-            for c, x, y, z in _triple_terms(p, w)
-        )
-    else:
-        f2 = f @ f
-        diag_f3 = (f2 * f).sum(axis=1)
-        # (a_i f_ij) f2_ij a_j, one n x n temporary
-        f *= a[:, None]
-        f *= f2
-        f *= a[None, :]
-        triple = 0.5 * float(a**2 @ diag_f3) + float(f.sum())
-    return (4.0 / n**2) * triple, sigma2
+    and e: over ordered triples, (a_i + a_j + a_k)^2 counts as 3 a_i^2 +
+    6 a_i a_j by symmetry, and a sixth of that is the sum over i < j < k."""
+    n, f = model.n, _pair_variance(model)
+    row, _ = _row_col(model)
+    af = row(a) * f
+    triple = 0.5 * (_triple_sum(row(a * a) * f, f, f) + 2.0 * _triple_sum(af, af, f))
+    return (4.0 / n**2) * triple, (0.5 / n**2) * float((e * e * f).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -471,31 +431,21 @@ class TriangleConstants:
 
 
 def _triangle_constants(model: ModelSpec) -> TriangleConstants:
-    """`triangle_constants`, with gamma and delta `_Separable` for product forms."""
+    """`triangle_constants`, with gamma and delta in the representation of `_pair_mu`."""
     _require_valid(model)
-    n, mu = model.n, model.mu
+    n, mu, m = model.n, model.mu, _pair_mu(model)
+    row, col = _row_col(model)
+    h = m * col(1.0 / mu)  # h_ij = mu_ij / mu_j
+    eta = _triple_rows(h, h, m) / mu**2
+    gamma = _paths(h, m) * row(1.0 / mu) * col(1.0 / mu)
     p, w = _product_form(model)
     if w is None:
-        m = model.mu_matrix
-        num = m @ ((1.0 / mu)[:, None] * m)  # num_ij = sum_k mu_ik mu_kj / mu_k
-        gamma = num / np.outer(mu, mu)
-        scaled = m / mu[None, :]  # scaled_ij = mu_ij / mu_j
-        path2 = scaled @ m
-        eta = (path2 * scaled).sum(axis=1) / mu**2
-        delta = gamma - 0.5 * np.add.outer(eta, eta)
-        np.fill_diagonal(gamma, 0.0)
-        np.fill_diagonal(delta, 0.0)
-        return TriangleConstants(eta=eta, gamma=gamma, delta=delta)
-    # with q = p w / mu, r = w^2 / mu, T = sum of r and R2 = sum of r^2,
-    #   gamma_ij = q_i q_j (T - r_i - r_j), eta_i = p q_i^2 [(T - r_i)^2 - (R2 - r_i^2)],
-    # and delta regrouped as in the module docstring
-    q, r = p * w / mu, w * w / mu
-    t, r2 = float(r.sum()), float((r * r).sum())
-    eta = p * q * q * ((t - r) ** 2 - (r2 - r * r))
-    gamma = _Separable(n, ((q * (t - r), q), (q, -q * r)))
+        return TriangleConstants(eta=eta, gamma=gamma, delta=gamma - 0.5 * (row(eta) + col(eta)))
     if model.is_homogeneous:  # gamma_ij = eta_i = eta_j in exact arithmetic
         return TriangleConstants(eta=eta, gamma=gamma, delta=_Separable(n, ()))
-    row, col = _row_col(n)
+    # delta regrouped as in the module docstring
+    q, r = p * w / mu, w * w / mu
+    t, r2 = float(r.sum()), float((r * r).sum())
     kappa = math.fsum([1.0, *(-p * r).tolist()])
     zeta = math.fsum((r * (kappa + p * r)).tolist())
     s, q0 = (x - x.mean() for x in (q * (t - r), q))  # centred for the squared differences
@@ -506,9 +456,9 @@ def _triangle_constants(model: ModelSpec) -> TriangleConstants:
 
 
 def triangle_constants(model: ModelSpec) -> TriangleConstants:
-    """eta, gamma and delta_ij = gamma_ij - (eta_i + eta_j)/2, zero diagonals:
-    from power sums of w for product-form weights (delta 0 exactly under
-    constant weights), matrix products for dense, which form delta as written."""
+    """eta, gamma and delta_ij = gamma_ij - (eta_i + eta_j)/2, zero diagonals
+    (delta regrouped for product-form weights, and 0 exactly under constant
+    weights; dense weights form it as written)."""
     tc = _triangle_constants(model)
     return TriangleConstants(**{k: np.asarray(v) for k, v in vars(tc).items()})
 
@@ -516,17 +466,11 @@ def triangle_constants(model: ModelSpec) -> TriangleConstants:
 def v_components(model: ModelSpec) -> tuple[float, float]:
     """Exact (v1_sq, v2_sq) for the weighted triangle sum: v2_sq over the
     delta of `triangle_constants` (0.0 exactly under constant weights, whose
-    delta has no terms), v1_sq from power sums of w for product-form weights."""
+    delta has no terms), v1_sq = T(g, g, g) / 6 with g_ij = f_ij / mu_i^2."""
     delta, f = _triangle_constants(model).delta, _pair_variance(model)
-    v2 = 0.5 * float((delta * delta * f).sum())
-    mu, (p, w) = model.mu, _product_form(model)
-    if w is not None:
-        inv2 = 1.0 / (mu * mu)
-        terms = _triple_terms(p, w)
-        return sum(c * _d3(x * inv2, y * inv2, z * inv2) for c, x, y, z in terms) / 6.0, v2
-    g = f / np.outer(mu, mu)
-    v1 = float(((g @ g) * g).sum()) / 6.0
-    return v1, v2
+    row, _ = _row_col(model)
+    g = row(1.0 / (model.mu * model.mu)) * f
+    return _triple_sum(g, g, g) / 6.0, 0.5 * float((delta * delta * f).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -547,37 +491,23 @@ def mean_cc_approx(model: ModelSpec) -> float:
 
 
 def _mean_cc(model: ModelSpec, a: np.ndarray, et: np.ndarray) -> float:
-    n, mu = model.n, model.mu
-    term1 = math.fsum((et * a).tolist()) / n
+    n, mu, m = model.n, model.mu, _pair_mu(model)
+    row, _ = _row_col(model)
     g = (2.0 * mu - 1.0) / (mu**2 * (mu - 1.0) ** 2)
-    p, w = _product_form(model)
-    if w is not None:
-        # f_ij mu_ik mu_jk is the sum of c_s p^2 w_i^(s+1) w_j^(s+1) w_k^2
-        terms = _pair_variance_terms(p)
-        paths = sum(c * _d3(g * w ** (s + 1), w ** (s + 1), w * w) for s, c in terms)
-        term2 = (2.0 / n) * p * p * paths
-    else:
-        m = model.mu_matrix
-        diag_fmm = ((_pair_variance(model) @ m) * m).sum(axis=1)
-        term2 = (2.0 / n) * float(g @ diag_fmm)
-    return term1 - term2
+    paths = _triple_sum(row(g) * _pair_variance(model), m, m)
+    return math.fsum((et * a).tolist()) / n - (2.0 / n) * paths
 
 
 def mean_t_leading(model: ModelSpec) -> float:
     """Leading term of E[weighted triangle sum]:
-    sum_{i<j<k} mu_ij mu_jk mu_ki / (mu_i mu_j mu_k).  Diagnostic only;
-    the full expectation has no closed form at finite n.  Product-form
-    weights take (p^3 / 6) D3(r, r, r), r = w^2 / mu.
+    sum_{i<j<k} mu_ij mu_jk mu_ki / (mu_i mu_j mu_k), T(h, h, h) / 6 with
+    h_ij = mu_ij / mu_i.  Diagnostic only; the full expectation has no
+    closed form at finite n.
     """
     _require_valid(model)
-    p, w = _product_form(model)
-    if w is not None:
-        r = w * w / model.mu
-        return p**3 * _d3(r, r, r) / 6.0
-    m = model.mu_matrix
-    mu = model.mu
-    h = m / np.sqrt(np.outer(mu, mu))
-    return float(((h @ h) * h).sum()) / 6.0
+    row, _ = _row_col(model)
+    h = row(1.0 / model.mu) * _pair_mu(model)
+    return _triple_sum(h, h, h) / 6.0
 
 
 @dataclass(frozen=True)
@@ -619,7 +549,7 @@ def v_closed_form_rank_one(model: ModelSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# product-form weights: power sums of w
+# pair arrays: n x n for dense weights, `_Separable` for product forms
 
 
 def _product_form(model: ModelSpec) -> tuple[float, np.ndarray | None]:
@@ -632,10 +562,64 @@ def _product_form(model: ModelSpec) -> tuple[float, np.ndarray | None]:
     return model.p, None
 
 
-def _row_col(n: int):
-    """The maps of an n-vector x to the pair arrays x_i and x_j, as `_Separable`."""
+def _pair_mu(model: ModelSpec):
+    """mu_ij: `mu_matrix` for dense weights, the `_Separable` (p w_i) w_j for product forms."""
+    p, w = _product_form(model)
+    return model.mu_matrix if w is None else _Separable(model.n, ((p * w, w),))
+
+
+def _pair_variance(model: ModelSpec):
+    """f_ij = mu_ij (1 - mu_ij) in the representation of `_pair_mu`."""
+    m = _pair_mu(model)
+    if isinstance(m, _Separable):  # its two pairs formed once, as sums read them often
+        return _Separable(m.n, tuple((m - m * m).pairs()))
+    return m * (1.0 - m)
+
+
+def _row_col(model: ModelSpec):
+    """The maps of an n-vector x to the pair arrays x_i and x_j, zero
+    diagonals, in the representation of `_pair_mu`."""
+    n = model.n
+    if _product_form(model)[1] is None:
+        off = 1.0 - np.eye(n)
+        return (lambda x: x[:, None] * off), (lambda x: x[None, :] * off)
     ones = np.ones(n)
     return (lambda x: _Separable(n, ((x, ones),))), (lambda x: _Separable(n, ((ones, x),)))
+
+
+def _paths(x, y):
+    """The pair array sum over k not in {i, j} of x_ik y_kj, zero diagonal."""
+    if not isinstance(x, _Separable):
+        out = x @ y  # the zero diagonals drop k = i and k = j
+        np.fill_diagonal(out, 0.0)
+        return out
+    out = []
+    for left, r1 in x.pairs():
+        for l2, right in y.pairs():
+            u = r1 * l2
+            out += [(left * (float(u.sum()) - u), right), (left, -u * right)]
+    return _Separable(x.n, tuple(out))
+
+
+def _triples(x, y, z) -> list:
+    """(L1 R3, R1 L2, R2 L3) over the triples of terms of three `_Separable`."""
+    ys, zs = tuple(y.pairs()), tuple(z.pairs())
+    return [(l1 * r3, r1 * l2, r2 * l3) for l1, r1 in x.pairs() for l2, r2 in ys for l3, r3 in zs]
+
+
+def _triple_rows(x, y, z) -> np.ndarray:
+    """Per node i, the sum over ordered pairs of distinct j, k other than i
+    of x_ij y_jk z_ki."""
+    if isinstance(x, _Separable):
+        return sum(_d3_rows(*t) for t in _triples(x, y, z))
+    return ((x @ y) * z.T).sum(axis=1)
+
+
+def _triple_sum(x, y, z) -> float:
+    """The sum over ordered triples of distinct nodes of x_ij y_jk z_ki."""
+    if isinstance(x, _Separable):
+        return math.fsum(_d3(*t) for t in _triples(x, y, z))
+    return float(((x @ y) * z.T).sum())
 
 
 class _Separable:
@@ -695,16 +679,11 @@ def _d3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
     )
 
 
-def _pair_variance_terms(p: float) -> tuple[tuple[int, float], ...]:
-    """(s, c_s) with f_ij = sum of c_s (w_i w_j)^s for i != j."""
-    return ((1, p), (2, -p * p))
-
-
-def _triple_terms(p: float, w: np.ndarray):
-    """(c_s c_t c_u, w^(s+u), w^(s+t), w^(t+u)) over (s, t, u), so that
-    f_ij f_jk f_ki is the sum of c w_i^(s+u) w_j^(s+t) w_k^(t+u)."""
-    for (s, cs), (t, ct), (u, cu) in itertools.product(_pair_variance_terms(p), repeat=3):
-        yield cs * ct * cu, w ** (s + u), w ** (s + t), w ** (t + u)
+def _d3_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per node i, x_i times the sum of y_j z_k over ordered pairs of
+    distinct j, k other than i."""
+    sy, sz, yz = float(y.sum()), float(z.sum()), y * z
+    return x * ((sy - y) * (sz - z) - (float(yz.sum()) - yz))
 
 
 # ---------------------------------------------------------------------------

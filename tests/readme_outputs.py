@@ -1,6 +1,7 @@
 """Hash the outputs of every `hetclust` command in the README.
 
 Usage: python tests/readme_outputs.py [--keep DIR] [--extra "hetclust ..."]...
+       python tests/readme_outputs.py --compare OLD NEW
 
 Takes the `hetclust ...` lines of the README's command block, joining
 lines continued with a backslash, and runs them in README order in one
@@ -15,8 +16,12 @@ It prints the first 16 hex digits of the sha256 of `w.csv`, then, for
 every command, of its stdout, its stderr and every file it wrote or
 changed.  Two checkouts whose listings are equal produce the same bytes
 for these commands.  With `--keep DIR` the commands run in DIR, which
-must be empty or absent, and their files stay there, so that two
-checkouts' outputs can be compared number by number.
+must be empty or absent, and their files stay there, with the stdout of
+the k-th command in `stdout/<k>.txt`, so that two checkouts' outputs can
+be compared number by number: `--compare OLD NEW` takes two such
+directories and prints, for each file, `same`, or its old and new digests
+and the largest change over the numbers that changed, relative to the
+largest |x| in the file.
 
 The commands run the package under `src/` of the checkout holding this
 script, through `python -m hetclust.cli`.
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -141,17 +147,20 @@ def _snapshot(workdir: Path) -> dict[str, bytes]:
 
 
 def run_commands(commands: list[str], workdir: Path) -> list[str]:
-    """Run each command in `workdir`; one listing line per output."""
+    """Run each command in `workdir`; one listing line per output.  The
+    stdout of the k-th command is also kept in `stdout/<k>.txt` there."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     lines = []
-    for command in commands:
+    for k, command in enumerate(commands):
         argv = shlex.split(command)
         before = _snapshot(workdir)
         proc = subprocess.run(
             [sys.executable, "-m", "hetclust.cli", *argv[1:]],
             cwd=workdir, env=env, capture_output=True,
         )
+        (workdir / "stdout").mkdir(exist_ok=True)
+        (workdir / "stdout" / f"{k:02d}.txt").write_bytes(proc.stdout)
         lines.append(f"$ {command}")
         lines.append(f"  exit {proc.returncode}")
         lines.append(f"  stdout {_digest(proc.stdout)}")
@@ -172,7 +181,15 @@ def main(argv: list[str] | None = None) -> int:
         "--keep", metavar="DIR", type=Path,
         help="run in DIR (empty or absent) and keep the files written there",
     )
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("OLD", "NEW"), type=Path,
+        help="compare the files of two --keep directories instead of running",
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        for line in compare_dirs(*args.compare):
+            print(line)
+        return 0
     readme = readme_commands((ROOT / "README.md").read_text())
     commands = (
         readme + RANK_ONE_COMMANDS + KERNEL_COMMANDS + DECOMPOSE_COMMANDS + DENSE_COMMANDS
@@ -196,6 +213,45 @@ def list_outputs(commands: list[str], workdir: Path) -> None:
     print(f"{DENSE_CSV} {_digest(weights.read_bytes())}")
     for line in run_commands(commands, workdir):
         print(line)
+
+
+# a decimal number standing alone, not a run of digits inside a word or digest
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def compare_text(old: str, new: str) -> str:
+    """How `new` differs from `old`: the count of numbers that changed, the
+    largest change relative to the largest |x| of either and to the number
+    itself, or a note that the text around the numbers changed."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return "text differs"
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))]
+    changed = [(abs(a - b), max(abs(a), abs(b))) for a, b in pairs if a != b]
+    if not changed:
+        return "numbers equal, written differently"
+    scale = max(max(abs(a), abs(b)) for a, b in pairs)
+    largest = max(d for d, _ in changed) / scale
+    own = max(d / x for d, x in changed)
+    return (f"{len(changed)} numbers changed, largest by {largest:.2g} of max |x|"
+            f" ({own:.2g} of its own value)")
+
+
+def compare_dirs(old: Path, new: Path) -> list[str]:
+    """One line per file of either directory, `stdout/` included."""
+    names = sorted({p.relative_to(d).as_posix() for d in (old, new) for p in d.rglob("*")
+                    if p.is_file()})
+    lines = []
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{name}: only in {old if a.is_file() else new}")
+        elif a.read_bytes() == b.read_bytes():
+            lines.append(f"{name}: same")
+        else:
+            da, db = _digest(a.read_bytes()), _digest(b.read_bytes())
+            diff = compare_text(a.read_text(), b.read_text())
+            lines.append(f"{name}: {da} -> {db}, {diff}")
+    return lines
 
 
 if __name__ == "__main__":

@@ -235,6 +235,23 @@ def constant_weight_components(n: int, pi: float, a: float) -> tuple[float, floa
     return sigma1, sigma2, math.comb(n, 3) * f**3 / mu**6, 0.0
 
 
+def mean_cc_approx_direct(mu: np.ndarray, a: np.ndarray) -> float:
+    """The two-term expansion of E[average clustering coefficient],
+
+        (1/n) sum_i a_i sum_{j != k} mu_ij mu_jk mu_ki
+      - (2/n) sum_{i, j, k distinct} g_i f_ij mu_ik mu_jk,
+
+    g_i = (2 mu_i - 1) / (mu_i^2 (mu_i - 1)^2), f = mu (1 - mu), mu_i the row sums."""
+    n = mu.shape[0]
+    mi = mu.sum(axis=1)
+    f = mu * (1 - mu)
+    total = 0.0
+    for i, j, k in itertools.permutations(range(n), 3):
+        g = (2 * mi[i] - 1) / (mi[i] ** 2 * (mi[i] - 1) ** 2)
+        total += a[i] * mu[i, j] * mu[j, k] * mu[k, i] - 2 * g * f[i, j] * mu[i, k] * mu[j, k]
+    return total / n
+
+
 def mean_t_leading_direct(mu: np.ndarray) -> float:
     n = mu.shape[0]
     mi = mu.sum(axis=1)

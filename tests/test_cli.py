@@ -16,6 +16,7 @@ from readme_outputs import (
     KERNEL_COMMANDS,
     RANK_ONE_COMMANDS,
     ROOT,
+    compare_dirs,
     readme_commands,
 )
 
@@ -194,6 +195,27 @@ def test_readme_commands_parse():
         parser.parse_args(command.split()[1:])
 
 
+def test_readme_outputs_compare(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "same.csv": ("a,1.5\n", "a,1.5\n"),
+        "m.json": ('{"n": 500, "x": [0.25, -1e-3]}', '{"n": 500, "x": [0.25, -1.0000000001e-3]}'),
+        "stdout/00.txt": ("sha1 3f25e9\n", "sha1 3f26e9\n"),
+        "gone.txt": ("1\n", None),
+    }
+    for name, texts in files.items():
+        for root, text in zip((old, new), texts):
+            if text is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text)
+    lines = compare_dirs(old, new)
+    assert lines[0] == f"gone.txt: only in {old}"
+    assert lines[1].startswith("m.json: ") and lines[1].endswith(
+        "1 numbers changed, largest by 2e-16 of max |x| (1e-10 of its own value)")
+    assert lines[2:] == ["same.csv: same", lines[3]]
+    assert lines[3].startswith("stdout/00.txt: ") and lines[3].endswith(", text differs")
+
+
 def test_decompose_subcommand(tmp_path, capsys):
     out = tmp_path / "dec.csv"
     code, stdout, _ = run_cli(
@@ -367,7 +389,9 @@ def test_model_file_missing_key_is_one_line_error(tmp_path, capsys):
     [(5, "key 'weights' must be an object, got 5"),
      ({"kind": "rank1", "grid": 5}, "key 'grid' must be a two-number list, got 5"),
      # the message the inline rank1:grid:0.5 gives, with the file's path
-     ({"kind": "rank1", "grid": [0.5]}, "key 'grid' must be a two-number list, got [0.5]")],
+     ({"kind": "rank1", "grid": [0.5]}, "key 'grid' must be a two-number list, got [0.5]"),
+     ({"kind": "constant", "c": "abc"}, "key 'c' must be a number, got 'abc'"),
+     ({"kind": "rank1", "w": None}, "key 'w' must be a list of numbers, got None")],
 )
 def test_model_file_malformed_weights_is_one_line_error(tmp_path, capsys, weights, message):
     path = tmp_path / "m.json"

@@ -195,7 +195,14 @@ def test_model_json_missing_key_is_value_error(tmp_path, key):
      ({"kind": "rank1", "grid": [0.5, 0.7, 1.0]}, "grid"),
      # valid weights under a non-integral, a non-numeric and a boolean n
      *(pytest.param({"kind": "constant", "c": 1.0}, ("n", bad), id=f"n={bad!r}")
-       for bad in (100.7, "six", True))],
+       for bad in (100.7, "six", True)),
+     # a non-numeric, null or boolean alpha, beta, c or w
+     *(pytest.param({"kind": "constant", "c": 1.0}, (key, bad), id=f"{key}={bad!r}")
+       for key in ("alpha", "beta") for bad in ("abc", None, True)),
+     *(pytest.param({"kind": "constant", "c": bad}, "c", id=f"c={bad!r}")
+       for bad in ("abc", None, False)),
+     *(pytest.param({"kind": "rank1", "w": bad}, "w", id=f"w={bad!r}")
+       for bad in (["abc", 0.5], None, [0.5, None], [[0.5], [0.5, 0.6]], "0.5"))],
 )
 def test_model_json_malformed_weights_is_value_error(tmp_path, weights, key):
     cfg = {"n": 6, "alpha": 0.4, "beta": 0.5, "weights": weights}

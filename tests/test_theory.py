@@ -102,10 +102,14 @@ def test_a_coeff_index_error(i):
 
 
 def test_a_coeff_saturated_probabilities():
-    # mu_ij -> 1 concentrates the degree at n-1
+    # mu_ij -> 1 concentrates the degree at n-1; the series of the quadrature
+    # would need about 1e16 terms, so the law is the convolution
     n = 6
-    m = ModelSpec(n=n, alpha=1e-15, beta=1.0, weights=ConstantWeights(1.0))
-    assert a_coeff(m, 2) == pytest.approx(1.0 / ((n - 1) * (n - 2)), rel=1e-12)
+    for weights in (ConstantWeights(1.0), RankOneWeights(np.ones(n))):
+        m = ModelSpec(n=n, alpha=1e-15, beta=1.0, weights=weights)
+        assert not theory._takes_quadrature(m)
+        assert a_coeff(m, 2) == pytest.approx(1.0 / ((n - 1) * (n - 2)), rel=1e-12)
+        assert theory._a_all(m)[2] == a_coeff(m, 2)
 
 
 def test_a_coeff_matches_poisson_binom_n8(rng):
@@ -211,8 +215,8 @@ def test_rank_one_degree_law_matches_40_digit_convolution(n, alpha):
 
 
 def test_rank_one_theory_never_builds_mu_matrix(monkeypatch):
-    # power sums of w (w = 1 under constant weights), rows and the quadrature
-    # or node 0's convolution: no n x n pair-probability matrix
+    # power sums of w (w = 1 under constant weights), rows and the quadrature:
+    # no n x n pair-probability matrix
     def no_matrix(self):
         raise AssertionError("mu_matrix built")
 
@@ -342,21 +346,31 @@ def test_constants_require_supercritical_degrees():
 # variance components: generic path vs direct sums and fast path
 
 
+def _direct_sum_models(n, rng):
+    """A random dense, a rank-one and a constant-weight model on n nodes: the
+    literal sums of `reference` check the one formula each kind runs."""
+    return (
+        random_dense_model(n, rng),
+        ModelSpec(n=n, alpha=0.3, beta=0.5, weights=RankOneWeights(rng.uniform(0.5, 1.0, n))),
+        er_model(n, alpha=0.3, c=0.6),
+    )
+
+
 def test_sigma_components_match_direct_sums(rng):
-    m = random_dense_model(10, rng)
-    consts = clustering_constants(m)
-    mu = np.asarray(m.mu_matrix)
-    s1, s2 = sigma_components(m)
-    assert s1 == pytest.approx(reference.sigma1_direct(mu, consts.a), rel=1e-12)
-    assert s2 == pytest.approx(reference.sigma2_direct(mu, consts.e), rel=1e-12)
+    for m in _direct_sum_models(10, rng):
+        consts = clustering_constants(m)
+        mu = np.asarray(m.mu_matrix)
+        s1, s2 = sigma_components(m)
+        assert s1 == pytest.approx(reference.sigma1_direct(mu, consts.a), rel=1e-12)
+        assert s2 == pytest.approx(reference.sigma2_direct(mu, consts.e), rel=1e-12)
 
 
 def test_v_components_match_direct_sums(rng):
-    m = random_dense_model(10, rng)
-    mu = np.asarray(m.mu_matrix)
-    v1, v2 = v_components(m)
-    assert v1 == pytest.approx(reference.v1_direct(mu), rel=1e-12)
-    assert v2 == pytest.approx(reference.v2_direct(mu), rel=1e-12)
+    for m in _direct_sum_models(10, rng):
+        mu = np.asarray(m.mu_matrix)
+        v1, v2 = v_components(m)
+        assert v1 == pytest.approx(reference.v1_direct(mu), rel=1e-12)
+        assert v2 == pytest.approx(reference.v2_direct(mu), rel=1e-12)
 
 
 def test_fast_path_agrees_with_generic():
@@ -382,13 +396,23 @@ def test_fast_path_agrees_with_generic():
 
 
 @pytest.mark.parametrize("c", [0.6, 1.0])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.7])
+def test_constant_weight_a_matches_binomial(alpha, c):
+    # the quadrature of the product form with w = 1; the float convolution
+    # of node 0's n - 1 equal Bernoulli factors was 2.2e-13 off at n = 4000
+    m = er_model(4000, alpha=alpha, c=c)
+    want = reference.binomial_a(m.n, m.p * c)
+    assert a_coeff(m, 0) == pytest.approx(want, rel=5e-14, abs=0)
+    assert np.array_equal(theory._a_all(m), np.full(m.n, a_coeff(m, 0)))
+
+
+@pytest.mark.parametrize("c", [0.6, 1.0])
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7])
 @pytest.mark.parametrize("n", [10, 20, 40, 300, 1000, 4000])
 def test_constant_weight_components_match_closed_forms(n, alpha, c):
     # the product-form sums with w = 1 against the scalar closed forms in p*c,
     # both at the program's a, which is checked against scipy's binomial on
-    # its own: e amplifies a's error six-fold in sigma2_sq, and the float
-    # convolution of the degree law is 2.2e-13 off at n = 4000
+    # its own: e amplifies a's error six-fold in sigma2_sq
     m = er_model(n, alpha=alpha, c=c)
     if float(m.mu.min()) <= 1.0:
         pytest.skip("subcritical: the constants divide by mu_i - 1")
@@ -567,6 +591,16 @@ def test_separable_matches_its_materialisation(n, rng):
         assert np.max(np.abs(got[rows, cols] - want[rows, cols])) <= 1e-13 * scale
     # a product forms its pairs as they are read, from the pairs of its factors
     assert len(list((y * z).pairs())) == 12 and len(list((x * y * z).pairs())) == 12
+    # the two primitives against the matrix products of the materialised arrays
+    for a, b, A, B in [(x, y, X, Y), (y, z, Y, Z), (z, x, Z, X)]:
+        got, want = theory._paths(a, b), theory._paths(A, B)
+        assert isinstance(got, theory._Separable)
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * np.max(np.abs(want))
+    for a, b, c, A, B, C in [(x, y, z, X, Y, Z), (z, x, y, Z, X, Y), (y, y, x, Y, Y, X)]:
+        want = theory._triple_rows(A, B, C)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(theory._triple_rows(a, b, c) - want)) <= 1e-13 * scale
+        assert abs(theory._triple_sum(a, b, c) - theory._triple_sum(A, B, C)) <= 1e-13 * scale * n
 
 
 def test_rank_one_moments_take_linear_memory():
@@ -632,13 +666,13 @@ def test_eta_equals_gamma_homogeneous():
 
 
 def test_constants_match_direct_sums(rng):
-    m = random_dense_model(9, rng)
-    mu = np.asarray(m.mu_matrix)
-    tc = triangle_constants(m)
-    for i in range(9):
-        assert tc.eta[i] == pytest.approx(reference.eta_direct(mu, i), rel=1e-12)
-    for j in range(1, 9):
-        assert tc.gamma[0, j] == pytest.approx(reference.gamma_direct(mu, 0, j), rel=1e-12)
+    for m in _direct_sum_models(9, rng):
+        mu = np.asarray(m.mu_matrix)
+        tc = triangle_constants(m)
+        for i in range(9):
+            assert tc.eta[i] == pytest.approx(reference.eta_direct(mu, i), rel=1e-12)
+        for j in range(1, 9):
+            assert tc.gamma[0, j] == pytest.approx(reference.gamma_direct(mu, 0, j), rel=1e-12)
 
 
 def test_eta_rank_one_near_closed_form():
@@ -727,10 +761,17 @@ def test_mean_t_leading_half_probability():
 
 
 def test_mean_t_leading_matches_direct(rng):
-    m = random_dense_model(9, rng)
-    assert mean_t_leading(m) == pytest.approx(
-        reference.mean_t_leading_direct(np.asarray(m.mu_matrix)), rel=1e-12
-    )
+    for m in _direct_sum_models(9, rng):
+        assert mean_t_leading(m) == pytest.approx(
+            reference.mean_t_leading_direct(np.asarray(m.mu_matrix)), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("kind", ["dense", "rank1", "constant"])
+def test_mean_cc_approx_matches_direct(kind, rng):
+    m = dict(zip(["dense", "rank1", "constant"], _direct_sum_models(9, rng)))[kind]
+    want = reference.mean_cc_approx_direct(np.asarray(m.mu_matrix), clustering_constants(m).a)
+    assert mean_cc_approx(m) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -865,9 +906,8 @@ def test_theoretical_moments_evaluates_degree_law_once(rng, monkeypatch):
     dense = random_dense_model(10, rng)
     theoretical_moments(dense)
     assert rows == [dense.n] and quadratures == [rank1.n]  # one all-rows convolution
-    rows.clear()
     theoretical_moments(er_model(50, alpha=0.3))
-    assert rows and set(rows) == {1}  # constant weights read node 0 only
+    assert rows == [dense.n] and quadratures == [rank1.n, 1]  # constant weights: node 0 only
 
 
 @pytest.mark.parametrize("evaluate", [
