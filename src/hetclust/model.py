@@ -311,11 +311,30 @@ def load_dense_csv(path: str | Path) -> np.ndarray:
     return w
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(cfg: dict, key: str, where: str) -> float:
     value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_number(value):
         raise ValueError(f"{where}model config key '{key}' must be a number, got {value!r}")
     return float(value)
+
+
+def _numbers(cfg: dict, key: str, where: str, what: str, ndim: int = 1, size: int | None = None):
+    """cfg[key] as a float array, if it nests numbers `ndim` deep (`size` of
+    them, if given): no bool, None, text or ragged rows."""
+    value = cfg[key]
+    entries = np.array(value, dtype=object)
+    if (
+        entries.ndim != ndim
+        or size not in (None, entries.size)
+        or not all(map(_is_number, entries.flat))
+    ):
+        got = reprlib.repr(value)  # at most a few entries of a long list
+        raise ValueError(f"{where}model config key '{key}' must be {what}, got {got}")
+    return entries.astype(np.float64)
 
 
 def _weights_from_dict(spec: dict, n: int, base: Path | None, where: str) -> WeightSpec:
@@ -326,33 +345,16 @@ def _weights_from_dict(spec: dict, n: int, base: Path | None, where: str) -> Wei
         return ConstantWeights(_number(spec, "c", where))
     if kind == "rank1":
         if "grid" in spec:
-            grid = spec["grid"]
-            if not (
-                isinstance(grid, list)
-                and len(grid) == 2
-                and all(isinstance(x, (int, float)) for x in grid)
-            ):
-                raise ValueError(
-                    f"{where}model config key 'grid' must be a two-number list, got {grid!r}"
-                )
-            lo, hi = grid
-            return RankOneWeights(np.linspace(float(lo), float(hi), n))
-        w = spec["w"]
-        try:
-            numeric = np.asarray(w).dtype.kind in "iuf"  # not bool, None or text
-        except ValueError:  # ragged nesting
-            numeric = False
-        if not numeric:
-            got = reprlib.repr(w)  # at most a few entries of a long list
-            raise ValueError(f"{where}model config key 'w' must be a list of numbers, got {got}")
-        return RankOneWeights(np.asarray(w, dtype=np.float64))
+            lo, hi = _numbers(spec, "grid", where, "a two-number list", size=2)
+            return RankOneWeights(np.linspace(lo, hi, n))
+        return RankOneWeights(_numbers(spec, "w", where, "a list of numbers"))
     if kind == "dense":
         if "csv" in spec:
             p = Path(spec["csv"])
             if base is not None and not p.is_absolute():
                 p = base / p
             return DenseWeights(load_dense_csv(p))
-        return DenseWeights(np.asarray(spec["W"], dtype=np.float64))
+        return DenseWeights(_numbers(spec, "W", where, "a list of rows of numbers", ndim=2))
     raise ValueError(f"{where}unknown weight kind: {kind!r}")
 
 

@@ -105,14 +105,36 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, rows: np.ndarray, cols: np.ndarray) -> "Graph":
-        """Build from undirected edges given once as (i, j) with i < j."""
-        r = np.concatenate([rows, cols]).astype(np.int32, copy=False)
-        c = np.concatenate([cols, rows]).astype(np.int32, copy=False)
-        a = sp.coo_matrix(
-            (np.ones(len(r), dtype=np.int8), (r, c)), shape=(n, n)
-        ).tocsr()
-        a.sort_indices()
-        return Graph(n=n, indptr=a.indptr.copy(), indices=a.indices.copy())
+        """Build from undirected edges (i, j), i != j, in any order, repeats
+        merged.
+
+        Edges in canonical order (i < j, sorted by i then j, none repeated),
+        as the sampler gives them, need no sort of their own: row v is then
+        its lower neighbours, in the order of their edges (i, v), followed by
+        its upper ones, so one stable sort of the edge ends by source node
+        gives sorted rows.  Other edge lists are brought into canonical order
+        first.  Raises ValueError on a loop or a node outside [0, n).
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        keys = rows * n + cols
+        canonical = np.all(rows < cols) and np.all(keys[1:] > keys[:-1])
+        # each edge's smaller and larger end; in canonical order rows[0] is
+        # the smallest node
+        lo, hi = (rows[:1], cols) if canonical else (np.minimum(rows, cols), np.maximum(rows, cols))
+        if len(rows) and (lo.min() < 0 or hi.max() >= n):
+            raise ValueError(f"graph edge endpoints must lie in [0, {n})")
+        if not canonical:
+            if np.any(lo == hi):
+                raise ValueError("a graph edge must join two distinct nodes")
+            rows, cols = np.divmod(np.unique(lo * n + hi), n)
+        source = np.concatenate([cols, rows])
+        # numpy's stable sort of 16-bit keys is a counting (radix) sort
+        order = np.argsort(source.astype(np.uint16) if n <= 1 << 16 else source, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(source, minlength=n), out=indptr[1:])
+        indices = np.concatenate([rows, cols]).astype(np.int32)[order]
+        return Graph(n=n, indptr=indptr, indices=indices)
 
 
 def sample_graph(model: ModelSpec, seed: SeedSpec) -> Graph:

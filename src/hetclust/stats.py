@@ -18,14 +18,15 @@ Both statistics read the triangles through the per-edge sums
     q_ij = sum of s_k over the common neighbours k of i and j,  i < j,
 
 with s_k = 1 for the counts and s_k = 1/d_k for the weighted sum.  Each
-node's count is t_i = sum of q_ij over its edges, and the weighted sum
-adds q_ij / (d_i d_j) over the edges with math.fsum and divides by 3,
-since every triangle is reached through its three edges.
+node's count is t_i = sum of q_ij over its edges (twice its triangles,
+which the listing below counts directly), and the weighted sum adds
+q_ij / (d_i d_j) over the edges with math.fsum and divides by 3, since
+every triangle is reached through its three edges.
 
 Every q_ij is exact, so it depends on no summation order.  The counts are
-integers below n, exact in int32 and, since the dense kernel runs only
-for n <= `_DENSE_MAX_N` < 2**24, in every float32 partial sum; each t_i
-is an integer below 2**53, exact in float64.  For the weighted sum, q_ij
+integers below n, exact, since the dense kernel runs only for
+n <= `_DENSE_MAX_N` < 2**24, in every float32 partial sum; each t_i is an
+integer below 2**53, exact in float64.  For the weighted sum, q_ij
 is defined as the correctly rounded value of the sum of the floats
 inv_k = fl(1/d_k).  It is computed exactly by splitting every inv_k into
 two parts,
@@ -45,12 +46,17 @@ ValueError.
 The sums come from one of two kernels, chosen by the graph's size and
 fill 2m / (n(n-1)), at a fill threshold of its own for each statistic:
 
-* sparse: (S @ A) * A on the CSR adjacency, where S is A with column k
-  scaled by s_k, on chunks of rows so that the product stays small.  Its
-  cost grows like the sum of squared degrees, so it wins on sparse
-  graphs.  The counts take int32 ones; the weighted sum the complex128
-  hi_k + i lo_k, whose real and imaginary parts each sum exactly, and
-  q_ij = real + imag;
+* sparse: a listing of every triangle a < b < c once, at its smallest
+  node (Latapy 2008).  Each upper edge (a, b) pairs with every later
+  upper edge (a, c) of row a, and the wedge (a; b, c) is a triangle when
+  (b, c) is an edge.  At n <= `_DENSE_MAX_N` a bit-packed upper adjacency
+  (at most 2 MiB) tests the wedges, and only the triangles are looked up
+  among the sorted upper-edge keys i*n + j; above it every wedge is.
+  Wedges are made in chunks of about `_BLOCK_FLOATS`.  A triangle adds 1
+  to each of its three nodes, and the hi and lo parts of each node to the
+  edge opposite it.  Its cost grows like the number of wedges, so it wins
+  on sparse graphs.  One listing gives both statistics: it is made once
+  per graph and kept on it, as the degrees are;
 * dense, at n <= `_DENSE_MAX_N`: BLAS products of row blocks of A, scaled
   column-wise by each part of s, with the columns of A from the block's
   first row on, so only the upper triangle is formed.  The counts take
@@ -58,8 +64,11 @@ fill 2m / (n(n-1)), at a fill threshold of its own for each statistic:
   added per edge.  Every product of a 0/1 entry and a part is exact, so
   fused or blocked BLAS arithmetic changes nothing.
 
-Both kernels, and any BLAS thread count, therefore give the same q_ij and
-so the same statistics, bit for bit.
+The listing adds the parts edge by edge with `numpy.add.at`, chunk after
+chunk, and the dense kernel in whatever order BLAS takes: the grid argument
+above makes every such partial sum exact.  Both kernels, any chunk size and
+any BLAS thread count therefore give the same q_ij and so the same
+statistics, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,7 +77,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sampling import Graph
 
@@ -92,20 +100,22 @@ class NodeTriangleProfile:
 # bounds the n x n copy of A (64 MB in float32, 128 MB in float64 at
 # n = 4096).
 _DENSE_MAX_N = 4096
-# Smallest fill for the counts' dense kernel.  With one BLAS thread the two
-# kernels break even near 3% fill at n = 300 to 2000 and near 5% at n = 4000.
+# Smallest fill for the counts' dense kernel.  With one BLAS thread it broke
+# even with an int32 SpGEMM near 3% fill at n = 300 to 2000 and near 5% at
+# n = 4000; the listing is faster than that SpGEMM, so this is no longer
+# the break-even point.
 _DENSE_MIN_FILL = 0.05
 # Smallest fill for the weighted sum's dense kernel, whose float64 products
-# cost about four sgemms.  With one BLAS thread it breaks even with the
-# complex SpGEMM near 7% fill at n = 400 to 2000 and 8-9% at n = 3000 to
-# 4000.
+# cost about four sgemms.  With one BLAS thread it broke even with a complex
+# SpGEMM near 7% fill at n = 400 to 2000 and 8-9% at n = 3000 to 4000; the
+# same holds as above.
 _WEIGHTED_DENSE_MIN_FILL = 0.08
 # Entries in one row block's product in the dense kernel (1 MB in float32,
-# 2 MB in float64), and about those in one row chunk's product in the
-# sparse kernel.  The weighted sum takes one block up to n = 362, eight at
-# n = 1000.  Each block is one BLAS call, as few as the memory allows: when
-# Monte Carlo workers and BLAS threads oversubscribe the CPUs, every call
-# waits for descheduled threads.
+# 2 MB in float64), and about the wedges in one chunk of the listing.  The
+# weighted sum takes one block up to n = 362, eight at n = 1000.  Each
+# block is one BLAS call, as few as the memory allows: when Monte Carlo
+# workers and BLAS threads oversubscribe the CPUs, every call waits for
+# descheduled threads.
 _BLOCK_FLOATS = 2**18
 # Degrees must stay below this for the per-edge sums to be exact, and the
 # split grid: hi_k is 1/d_k truncated to a multiple of 1/_SPLIT.
@@ -118,33 +128,85 @@ def _takes_dense(graph: Graph, min_fill: float) -> bool:
     return n <= _DENSE_MAX_N and len(graph.indices) >= min_fill * n * (n - 1)
 
 
-def _edge_sums_sparse(graph: Graph, s: np.ndarray):
-    """Upper edges (i, j) with a common neighbour and their q_ij, the real plus
-    the imaginary part of the sum of s_k over those neighbours, from SpGEMMs
-    on row chunks."""
-    # of the dtype of s from the start, so no product casts a copy of it
-    a = graph.adjacency_csr(dtype=s.dtype)
-    k = graph.indices
-    # column k of A scaled by s_k
-    scaled = sp.csr_matrix((s[k], k, graph.indptr), shape=a.shape)
-    # row i of scaled @ a has at most (A d)_i entries, sum(d**2) in all:
-    # chunks of rows with about _BLOCK_FLOATS of them bound its memory
-    d = graph.degrees
-    if d @ d <= _BLOCK_FLOATS:
-        chunks = [(0, scaled, a)]
-    else:
-        reach = np.cumsum(graph.adjacency_csr() @ d)
-        cuts = np.unique(np.searchsorted(reach, np.arange(_BLOCK_FLOATS, reach[-1], _BLOCK_FLOATS)))
-        bounds = [0, *cuts.tolist(), graph.n]
-        chunks = ((r0, scaled[r0:r1], a[r0:r1]) for r0, r1 in zip(bounds[:-1], bounds[1:]))
-    pieces = []
-    for r0, scaled_rows, a_rows in chunks:
-        q = (scaled_rows @ a).multiply(a_rows).tocsr()
-        rows = np.repeat(np.arange(r0, r0 + q.shape[0]), np.diff(q.indptr))
-        upper = rows < q.indices
-        sums = q.data[upper]
-        pieces.append((rows[upper], q.indices[upper], sums.real + sums.imag))
-    return [np.concatenate(x) for x in zip(*pieces)]
+# bit k of a byte, for the bit-packed upper adjacency
+_BIT = (1 << np.arange(8)).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class _Listing:
+    """What a graph's triangles give both statistics: the ordered count t per
+    node, and the upper edges (rows, cols) with a triangle and their per-edge
+    sums q of 1/d_k.  `block` is the wedge chunk size it was made with."""
+
+    block: int
+    t: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    q: np.ndarray
+
+
+def _listing(graph: Graph) -> _Listing:
+    """The graph's triangle listing, made on first use and kept on the graph
+    as its degrees are; one made in chunks of another size is made anew."""
+    listing = graph.__dict__.get("_listing")
+    if listing is None or listing.block != _BLOCK_FLOATS:
+        # Graph is frozen: store the way functools.cached_property does
+        listing = graph.__dict__["_listing"] = _list_triangles(graph)
+    return listing
+
+
+def _list_triangles(graph: Graph) -> _Listing:
+    """Every triangle a < b < c once, as the wedge (a; b, c) of its upper
+    edges ab and ac that the edge bc closes."""
+    n, block = graph.n, _BLOCK_FLOATS
+    rows, cols = (x.astype(np.int64, copy=False) for x in graph.edge_pairs())
+    m = len(rows)
+    t = np.zeros(n, dtype=np.int64)
+    q_hi, q_lo = np.zeros(m), np.zeros(m)
+    hi, lo = _split_inverse_degrees(graph.degrees.astype(np.float64))
+    # the upper edges after each edge in its row, and the edges' keys, which
+    # increase strictly in canonical order
+    later = np.cumsum(np.bincount(rows, minlength=n))[rows] - np.arange(m) - 1
+    keys = rows * n + cols
+    bits = None
+    if n <= _DENSE_MAX_N:
+        # bit key of the upper adjacency, one row of n bits after another
+        bits = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+        np.bitwise_or.at(bits, keys >> 3, _BIT[keys & 7])
+    # chunks of whole edges, with about `block` wedges each
+    reach = np.cumsum(later)
+    cuts = np.searchsorted(reach, np.arange(block, reach[-1] if m else 0, block), side="right")
+    bounds = np.unique([0, *cuts.tolist(), m]).tolist()
+    del reach
+    for e0, e1 in zip(bounds[:-1], bounds[1:]):
+        k = later[e0:e1]
+        ends = np.cumsum(k)
+        if not ends[-1]:
+            continue
+        # the chunk's wedges, edge by edge: wedge w pairs its edge ab with
+        # the later edge ac of row a that has the id second_w
+        second = np.arange(ends[-1]) + np.repeat(np.arange(e0 + 1, e1 + 1) - (ends - k), k)
+        key = np.repeat(cols[e0:e1] * n, k) + cols[second]
+        if bits is not None:
+            closed = np.flatnonzero(bits[key >> 3] & _BIT[key & 7])
+            third = np.searchsorted(keys, key[closed])
+        else:
+            third = np.minimum(np.searchsorted(keys, key), m - 1)
+            closed = np.flatnonzero(keys[third] == key)
+            third = third[closed]
+        first = e0 + np.searchsorted(ends, closed, side="right")
+        second = second[closed]
+        # each triangle's edges ab, ac and bc, and the node opposite each
+        edge = np.concatenate([first, second, third])
+        node = np.concatenate([cols[second], cols[first], rows[first]])
+        t += np.bincount(node, minlength=n)
+        np.add.at(q_hi, edge, hi[node])
+        np.add.at(q_lo, edge, lo[node])
+    some = np.flatnonzero(q_hi)  # hi_k > 0: the edges with a triangle
+    out = (2 * t, rows[some], cols[some], q_hi[some] + q_lo[some])
+    for x in out:
+        x.flags.writeable = False
+    return _Listing(block, *out)
 
 
 def _edge_sums_dense(graph: Graph, *parts: np.ndarray):
@@ -171,10 +233,9 @@ def _edge_sums_dense(graph: Graph, *parts: np.ndarray):
 def triangle_profile(graph: Graph) -> NodeTriangleProfile:
     """Ordered triangle count per node: t_i = #{(j, k): i~j, j~k, k~i}."""
     n = graph.n
-    if _takes_dense(graph, _DENSE_MIN_FILL):
-        rows, cols, q = _edge_sums_dense(graph, np.ones(n, dtype=np.float32))
-    else:
-        rows, cols, q = _edge_sums_sparse(graph, np.ones(n, dtype=np.int32))
+    if not _takes_dense(graph, _DENSE_MIN_FILL):
+        return NodeTriangleProfile(t=_listing(graph).t, d=graph.degrees)
+    rows, cols, q = _edge_sums_dense(graph, np.ones(n, dtype=np.float32))
     # t_i sums q over the edges at i, each edge listed once as i < j
     t = np.bincount(rows, q, n) + np.bincount(cols, q, n)
     return NodeTriangleProfile(t=t.astype(np.int64), d=graph.degrees)
@@ -220,10 +281,10 @@ def weighted_triangle_sum(graph: Graph) -> float:
             f"weighted triangle sum needs every degree below {_MAX_DEGREE}; "
             f"the largest is {int(d.max())}"
         )
-    hi, lo = _split_inverse_degrees(d)
     if _takes_dense(graph, _WEIGHTED_DENSE_MIN_FILL):
-        rows, cols, q = _edge_sums_dense(graph, hi, lo)
+        rows, cols, q = _edge_sums_dense(graph, *_split_inverse_degrees(d))
     else:
-        rows, cols, q = _edge_sums_sparse(graph, hi + 1j * lo)
+        listing = _listing(graph)
+        rows, cols, q = listing.rows, listing.cols, listing.q
     # every triangle is counted once per edge
     return math.fsum((q / (d[rows] * d[cols])).tolist()) / 3.0

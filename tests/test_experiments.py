@@ -13,6 +13,7 @@ from scipy.stats import norm
 
 from hetclust import experiments
 from hetclust import model as model_module
+from hetclust import stats
 from hetclust import theory as theory_module
 from hetclust.experiments import (
     STAT_CLUSTERING,
@@ -454,6 +455,18 @@ def test_constant_weight_decomposition_forms_no_dense_adjacency(stat, monkeypatc
     rep = decomposition_check(er_model(1000, alpha=0.7), stat, 4, master_seed=3, workers=1)
     assert rep.regime == "super_half"
     assert np.all(np.isfinite(rep.leading)) and np.ptp(rep.leading) > 0.0
+
+
+def test_triangle_decomposition_lists_each_replicate_once(monkeypatch):
+    # the weighted sum and the triangle count 6T of tr(B^3) share one listing
+    calls = []
+    list_triangles = stats._list_triangles
+    monkeypatch.setattr(stats, "_list_triangles", lambda g: calls.append(g) or list_triangles(g))
+    m = er_model(300, alpha=0.7)
+    assert not stats._takes_dense(sample_graph(m, SeedSpec(5, 0)), stats._DENSE_MIN_FILL)
+    rep = decomposition_check(m, STAT_TRIANGLES, 12, master_seed=5, workers=1)
+    assert rep.regime == "super_half"
+    assert len(calls) == 12 and len({id(g) for g in calls}) == 12
 
 
 def test_constant_weight_runs_never_build_mu_matrix(monkeypatch):

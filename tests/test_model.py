@@ -202,7 +202,12 @@ def test_model_json_missing_key_is_value_error(tmp_path, key):
      *(pytest.param({"kind": "constant", "c": bad}, "c", id=f"c={bad!r}")
        for bad in ("abc", None, False)),
      *(pytest.param({"kind": "rank1", "w": bad}, "w", id=f"w={bad!r}")
-       for bad in (["abc", 0.5], None, [0.5, None], [[0.5], [0.5, 0.6]], "0.5"))],
+       for bad in (["abc", 0.5], None, [0.5, None], [[0.5], [0.5, 0.6]], "0.5")),
+     # a bool is an int to Python, but no weight: neither true nor false
+     pytest.param({"kind": "rank1", "grid": [True, 1]}, "grid", id="grid=[True, 1]"),
+     pytest.param({"kind": "rank1", "w": [0.5, True, 1]}, "w", id="w=[0.5, True, 1]"),
+     *(pytest.param({"kind": "dense", "W": bad}, "W", id=f"W={bad!r}")
+       for bad in ([["a"]], [[0.0, 0.5], [0.5]], [[0.0, False], [False, 0.0]], [0.5, 0.5]))],
 )
 def test_model_json_malformed_weights_is_value_error(tmp_path, weights, key):
     cfg = {"n": 6, "alpha": 0.4, "beta": 0.5, "weights": weights}

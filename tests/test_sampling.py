@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetclust.model import ConstantWeights, DenseWeights, ModelSpec, RankOneWeights
 from hetclust import sampling
@@ -124,6 +127,47 @@ def test_graph_accessors():
     assert g.n_edges == 3
     assert g.degrees.tolist() == [2, 2, 2, 0, 0]
     assert g.indices[g.indptr[0] : g.indptr[1]].tolist() == [1, 2]
+
+
+def scipy_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of the symmetric adjacency as scipy builds them:
+    both directions of every edge, repeats merged, rows sorted."""
+    r, c = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    a = sp.coo_matrix((np.ones(len(r), dtype=np.int8), (r, c)), shape=(n, n)).tocsr()
+    a.sort_indices()
+    return a.indptr, a.indices
+
+
+def assert_same_csr(g: Graph, indptr: np.ndarray, indices: np.ndarray) -> None:
+    assert g.indptr.dtype == indptr.dtype == np.int32
+    assert g.indices.dtype == indices.dtype == np.int32
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+
+
+def test_from_edges_matches_scipy_on_sampled_graphs():
+    for n, alpha in ((300, 0.7), (1000, 0.3), (4000, 0.7)):
+        m = er_model(n, alpha=alpha)
+        rows, cols = pairs_from_ranks(np.flatnonzero(edge_indicator_stream(m, SeedSpec(6, 0)) < m.mu_pairs()), n)
+        assert_same_csr(Graph.from_edges(n, rows, cols), *scipy_csr(n, rows, cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_from_edges_matches_scipy_in_any_order_with_repeats(data):
+    n = data.draw(st.integers(2, 30), label="n")
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pair, max_size=3 * n), label="edges")
+    rows = np.array([e[0] for e in edges], dtype=np.int64)
+    cols = np.array([e[1] for e in edges], dtype=np.int64)
+    assert_same_csr(Graph.from_edges(n, rows, cols), *scipy_csr(n, rows, cols))
+
+
+def test_from_edges_rejects_loops_and_foreign_nodes():
+    with pytest.raises(ValueError, match="two distinct nodes"):
+        Graph.from_edges(4, np.array([0, 2]), np.array([1, 2]))
+    for rows, cols in (([0, 1], [1, 4]), ([-1], [2]), ([3, 0], [5, 1])):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 4\)"):
+            Graph.from_edges(4, np.array(rows), np.array(cols))
 
 
 def test_edgelist_round_trip(tmp_path):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
@@ -376,3 +377,108 @@ def test_weighted_sum_same_bytes_under_one_and_two_blas_threads():
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]
+
+
+# ---------------------------------------------------------------------------
+# the triangle listing behind the sparse kernel
+
+
+def listed(g: Graph, monkeypatch, dense_max_n: int = _DENSE_MAX_N) -> tuple[np.ndarray, float]:
+    """t and the weighted sum from the listing, on a copy of g that keeps no
+    listing yet; a dense_max_n below g.n takes the plain wedge lookup."""
+    monkeypatch.setattr(stats, "_DENSE_MIN_FILL", math.inf)
+    monkeypatch.setattr(stats, "_WEIGHTED_DENSE_MIN_FILL", math.inf)
+    monkeypatch.setattr(stats, "_DENSE_MAX_N", dense_max_n)
+    fresh = Graph(g.n, g.indptr, g.indices)
+    return triangle_profile(fresh).t, weighted_triangle_sum(fresh)
+
+
+def weighted_sum_networkx(g: Graph) -> float:
+    """The weighted triangle sum with correctly rounded per-edge sums, as in
+    `reference.weighted_triangle_sum_exact`, over networkx's common
+    neighbours: no dense adjacency, for graphs beyond the dense cap."""
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(zip(*(x.tolist() for x in g.edge_pairs())))
+    d = g.degrees.tolist()
+    contrib = []
+    for i, j in ref.edges():
+        q = sum((Fraction(1.0 / d[k]) for k in nx.common_neighbors(ref, i, j)), Fraction(0))
+        contrib.append(float(q) / (d[i] * d[j]))
+    return math.fsum(contrib) / 3.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_listing_matches_networkx_dense_kernel_and_exact_sum(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    ranks = data.draw(st.sets(st.integers(0, max(n_pairs(n) - 1, 0)), max_size=n_pairs(n)), label="ranks")
+    g = Graph.from_edges(n, *pairs_from_ranks(np.array(sorted(ranks), dtype=np.int64), n))
+    expect_t = networkx_counts(g)
+    expect_w = reference.weighted_triangle_sum_exact(g.adjacency_dense())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_DENSE_MIN_FILL", 0.0)
+        assert np.array_equal(triangle_profile(g).t, expect_t)
+    # chunks of the default size and of a few rows' worth of wedges; the
+    # bit-packed and the plain wedge lookup
+    for block_floats in (_BLOCK_FLOATS, 3 * max(n, 1)):
+        for dense_max_n in (_DENSE_MAX_N, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(stats, "_BLOCK_FLOATS", block_floats)
+                t, w = listed(g, mp, dense_max_n)
+            assert t.dtype == np.int64
+            assert np.array_equal(t, expect_t)
+            assert w == expect_w
+
+
+def test_listing_on_complete_graph_and_star(monkeypatch):
+    k40 = complete_graph(40)
+    t, w = listed(k40, monkeypatch)
+    assert t.tolist() == [39 * 38] * 40
+    assert np.array_equal(t, networkx_counts(k40))
+    assert w == reference.weighted_triangle_sum_exact(k40.adjacency_dense())
+    # a hub whose wedges all stay open
+    star = Graph.from_edges(60, np.zeros(59, dtype=np.int64), np.arange(1, 60))
+    t, w = listed(star, monkeypatch)
+    assert t.tolist() == [0] * 60 and w == 0.0
+
+
+def test_listing_beyond_the_dense_cap_matches_networkx():
+    g = sample_graph(er_model(5000, alpha=0.6), SeedSpec(31, 0))
+    assert g.n > _DENSE_MAX_N and not _takes_dense(g, 0.0)
+    t = triangle_profile(g).t
+    assert t.sum() > 0
+    assert np.array_equal(t, networkx_counts(g))
+    assert weighted_triangle_sum(g) == weighted_sum_networkx(g)
+
+
+def test_one_listing_gives_both_statistics(monkeypatch):
+    calls = []
+    list_triangles = stats._list_triangles
+    monkeypatch.setattr(stats, "_list_triangles", lambda g: calls.append(g) or list_triangles(g))
+    g = sample_graph(er_model(300, alpha=0.7), SeedSpec(3, 0))
+    assert not _takes_dense(g, _DENSE_MIN_FILL)
+    avg_clustering(g), weighted_triangle_sum(g), triangle_profile(g)
+    assert calls == [g]
+    # a listing made in chunks of another size is made anew
+    monkeypatch.setattr(stats, "_BLOCK_FLOATS", 2 * g.n)
+    triangle_profile(g)
+    assert len(calls) == 2
+
+
+def test_listing_memory_stays_within_its_chunks():
+    # n = 4000 at 5% fill has about 2.7e7 wedges: one int64 array over all
+    # of them would take 213 MB.  The listing holds about a dozen arrays over
+    # the 4e5 upper edges (3.2 MB each), the 2 MB bit-packed adjacency and a
+    # few arrays over one chunk of _BLOCK_FLOATS wedges (2.1 MB each).
+    n = 4000
+    g = graph_with_edges(n, round(0.05 * n_pairs(n)), 41)
+    assert not _takes_dense(g, _WEIGHTED_DENSE_MIN_FILL)
+    g.degrees  # cached before tracing
+    tracemalloc.start()
+    try:
+        weighted_triangle_sum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
